@@ -27,6 +27,7 @@ import (
 	"crosslayer/internal/ipfrag"
 	"crosslayer/internal/measure"
 	"crosslayer/internal/packet"
+	"crosslayer/internal/report"
 	"crosslayer/internal/scenario"
 	"crosslayer/internal/sim"
 )
@@ -202,7 +203,7 @@ func BenchmarkCampaignLattice(b *testing.B) {
 		if len(res) != 12 {
 			b.Fatalf("%d cells", len(res))
 		}
-		if out := campaign.Lattice(res).String(); out == "" {
+		if out := campaign.Report(res, report.Spec{}).Section("lattice-marginal").Text(); out == "" {
 			b.Fatal("empty lattice")
 		}
 	}
@@ -233,8 +234,8 @@ func BenchmarkCampaignChain(b *testing.B) {
 
 // BenchmarkReportRender isolates the Report indirection on the
 // campaign hot path: cells are computed once, and each iteration
-// builds the full four-view Report family and renders it to text —
-// the work the old renderers did directly on strings. Compare against
+// builds the full campaign Report (matrix, pivots and lattice) and
+// renders it to text. Compare against
 // BenchmarkCampaign/BenchmarkCampaignLattice (which include the
 // simulation) to see that building structured Reports instead of
 // formatted text adds no measurable cost.
@@ -252,14 +253,7 @@ func BenchmarkReportRender(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n := 0
-		for _, rep := range []crosslayer.TableResult{
-			campaign.Matrix(cells), campaign.Summary(cells),
-			campaign.DepthTable(cells), campaign.TransportTable(cells), campaign.Lattice(cells),
-		} {
-			n += len(rep.String())
-		}
-		if n == 0 {
+		if n := len(campaign.Report(cells, report.Spec{}).String()); n == 0 {
 			b.Fatal("empty render")
 		}
 	}

@@ -12,7 +12,7 @@
 // Usage:
 //
 //	go test -run '^$' -bench . -benchtime=1x ./... | benchjson > BENCH_ci.json
-//	benchjson -compare -tolerance 15 BENCH_2.json BENCH_ci.json
+//	benchjson -compare -tolerance 15 $BENCH_BASELINE BENCH_ci.json
 package main
 
 import (
@@ -137,7 +137,7 @@ func Compare(oldRes, newRes []Result, tolerancePct float64) (string, bool) {
 	if breach {
 		fmt.Fprintf(&b, "\nFAIL: regression beyond %.1f%% tolerance.\n", tolerancePct)
 		fmt.Fprintf(&b, "If the slowdown is intended, refresh the baseline:\n")
-		fmt.Fprintf(&b, "  go test -run '^$' -bench . -benchtime=3x . | go run ./cmd/benchjson > BENCH_2.json\n")
+		fmt.Fprintf(&b, "  go test -run '^$' -bench . -benchtime=3x . | go run ./cmd/benchjson > $BENCH_BASELINE\n")
 	}
 	return b.String(), breach
 }

@@ -49,10 +49,13 @@ func TestCompareBreach(t *testing.T) {
 	if !breach {
 		t.Fatalf("2x slowdown passed a 15%% gate:\n%s", table)
 	}
-	for _, want := range []string{"BREACH", "+100.0%", "7→9", "refresh the baseline"} {
+	for _, want := range []string{"BREACH", "+100.0%", "7→9", "refresh the baseline", "$BENCH_BASELINE"} {
 		if !strings.Contains(table, want) {
 			t.Errorf("table missing %q:\n%s", want, table)
 		}
+	}
+	if strings.Contains(table, "BENCH_2.json") {
+		t.Errorf("breach message names a stale baseline file:\n%s", table)
 	}
 }
 

@@ -107,17 +107,9 @@ func xlmain() int {
 	shardSize := flag.Int("shard-size", 0, "population items per simulation shard; 0 = engine default")
 	sadPorts := flag.Int("sad-ports", 0, "resolver port span the end-to-end SadDNS runs scan; 0 = per-experiment default")
 	quiet := flag.Bool("quiet", false, "suppress per-dataset progress on stderr")
-	methods := flag.String("methods", "", "campaign: comma-separated method keys (empty = all)")
-	victims := flag.String("victims", "", "campaign: comma-separated victim keys (empty = all)")
-	profiles := flag.String("profiles", "", "campaign: comma-separated resolver profile keys (empty = all)")
-	defenses := flag.String("defenses", "", "campaign: comma-separated base-defense keys bounding the stacking lattice (empty = all)")
-	defenseSets := flag.String("defense-sets", "", "campaign: comma-separated exact defense stacks, e.g. 0x20+shuffle (overrides the lattice; empty = lattice)")
+	setFilters := campaignFlags(flag.CommandLine)
 	latticeRank := flag.Int("lattice-rank", 0, "campaign: max stacked defenses per set; 0 = default (singletons + pairs + full stack), 1 = scalar axis")
-	chainDepths := flag.String("chain-depths", "", "campaign: comma-separated forwarder-chain depths 0-3 (empty = all)")
-	placement := flag.String("placement", "", "campaign: comma-separated attacker placements stub,carrier (empty = all)")
 	trials := flag.Int("trials", 0, "campaign: attack trials per cell; 0 = default (3)")
-	transports := flag.String("transports", "", "campaign: comma-separated upstream transports udp,tcp,dot,doh,doq,mixed,opp (empty = all)")
-	deployments := flag.String("deployments", "", "campaign: comma-separated deployment datasets canonical,measured,hardened (empty = canonical only)")
 	downgrade := flag.Bool("downgrade", false, "campaign: run cells under active transport-downgrade pressure")
 	serveMode := flag.Bool("serve", false, "run the resident sweep server instead of a one-shot experiment")
 	addr := flag.String("addr", "127.0.0.1:8053", "serve: HTTP listen address")
@@ -195,19 +187,11 @@ func xlmain() int {
 			Parallelism: *parallel,
 			ShardSize:   *shardSize,
 			SadPorts:    *sadPorts,
-			Methods:     splitKeys(*methods),
-			Victims:     splitKeys(*victims),
-			Profiles:    splitKeys(*profiles),
-			Defenses:    splitKeys(*defenses),
-			DefenseSets: splitKeys(*defenseSets),
-			ChainDepths: splitKeys(*chainDepths),
-			Placements:  splitKeys(*placement),
-			Transports:  splitKeys(*transports),
-			Deployments: splitKeys(*deployments),
 			Trials:      *trials,
 			LatticeRank: *latticeRank,
 			Downgrade:   *downgrade,
 		}
+		setFilters(&s)
 		if !*quiet {
 			s.Progress = progressPrinter(experiment)
 		}
@@ -291,18 +275,19 @@ func registryNames() []string {
 	return names
 }
 
-// splitKeys parses a comma-separated filter flag; empty means "all".
-func splitKeys(s string) []string {
-	if strings.TrimSpace(s) == "" {
-		return nil
+// campaignFlags registers one flag per campaign axis filter on fs and
+// returns the function that copies the parsed keys into a spec.
+func campaignFlags(fs *flag.FlagSet) func(*crosslayer.ExperimentSpec) {
+	filters := crosslayer.CampaignFlags()
+	vals := make([]*string, len(filters))
+	for i, f := range filters {
+		vals[i] = fs.String(f.Flag, "", f.Usage)
 	}
-	var out []string
-	for _, k := range strings.Split(s, ",") {
-		if k = strings.TrimSpace(k); k != "" {
-			out = append(out, k)
+	return func(s *crosslayer.ExperimentSpec) {
+		for i, f := range filters {
+			f.Set(s, *vals[i])
 		}
 	}
-	return out
 }
 
 // progressPrinter renders per-dataset shard completions on stderr: a

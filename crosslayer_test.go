@@ -197,14 +197,14 @@ func TestCampaignFacade(t *testing.T) {
 	if len(cells) != 20 {
 		t.Fatalf("campaign cells: %d", len(cells))
 	}
-	if got := crosslayer.CampaignMatrix(cells).Sections[0].Text(); got != rep.Section("matrix").Text() {
+	cellsRep := crosslayer.CampaignReport(cells, spec)
+	if got := cellsRep.Section("matrix").Text(); got != rep.Section("matrix").Text() {
 		t.Fatal("cells-level matrix diverged from the registry report")
 	}
-	if crosslayer.CampaignSummary(cells).String() == "" ||
-		crosslayer.CampaignDepthTable(cells).String() == "" ||
-		crosslayer.CampaignTransportTable(cells).String() == "" ||
-		crosslayer.CampaignLattice(cells).String() == "" {
-		t.Fatal("empty campaign rendering")
+	for _, sec := range []string{"summary", "depth", "transport", "deploy", "lattice-sets", "lattice-marginal"} {
+		if cellsRep.Section(sec).Text() != rep.Section(sec).Text() {
+			t.Fatalf("cells-level %s section diverged from the registry report", sec)
+		}
 	}
 
 	// Filter validation errors propagate through the registry path —

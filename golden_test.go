@@ -28,6 +28,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -231,6 +232,17 @@ func registrySection(t *testing.T, name, section string) string {
 	return sec.Text()
 }
 
+// cellSections renders the named sections of the campaign Report over
+// res, joined like a multi-section Report's text.
+func cellSections(res []campaign.CellResult, names ...string) string {
+	rep := campaign.Report(res, report.Spec{})
+	texts := make([]string, len(names))
+	for i, name := range names {
+		texts[i] = rep.Section(name).Text()
+	}
+	return strings.Join(texts, "\n")
+}
+
 func TestGoldenArtifacts(t *testing.T) {
 	artifacts := []struct {
 		name   string
@@ -249,8 +261,9 @@ func TestGoldenArtifacts(t *testing.T) {
 		{"fig4", func(t *testing.T) string { return registryReport(t, "fig4").String() }},
 		{"fig5", func(t *testing.T) string { return registryReport(t, "fig5").String() }},
 		// Campaign artifacts: the matrix and summary sections of the
-		// registry run's Report, and the chain/lattice slices rendered
-		// at the cells level.
+		// registry run's Report, and sections of the chain, lattice,
+		// transport and deploy slices' Reports built at the cells
+		// level.
 		{"campaign", func(t *testing.T) string { return registrySection(t, "campaign", "matrix") }},
 		{"campaign_summary", func(t *testing.T) string { return registrySection(t, "campaign", "summary") }},
 		{"campaign_chain", func(t *testing.T) string {
@@ -258,42 +271,42 @@ func TestGoldenArtifacts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return campaign.Matrix(res).String()
+			return cellSections(res, "matrix")
 		}},
 		{"campaign_depth", func(t *testing.T) string {
 			res, err := goldenChain()
 			if err != nil {
 				t.Fatal(err)
 			}
-			return campaign.DepthTable(res).String()
+			return cellSections(res, "depth")
 		}},
 		{"campaign_lattice", func(t *testing.T) string {
 			res, err := goldenLattice()
 			if err != nil {
 				t.Fatal(err)
 			}
-			return campaign.Lattice(res).String()
+			return cellSections(res, "lattice-sets", "lattice-marginal")
 		}},
 		{"campaign_transport", func(t *testing.T) string {
 			res, err := goldenTransport()
 			if err != nil {
 				t.Fatal(err)
 			}
-			return campaign.TransportTable(res).String()
+			return cellSections(res, "transport")
 		}},
 		{"campaign_transport_matrix", func(t *testing.T) string {
 			res, err := goldenTransport()
 			if err != nil {
 				t.Fatal(err)
 			}
-			return campaign.Matrix(res).String()
+			return cellSections(res, "matrix")
 		}},
 		{"campaign_deploy", func(t *testing.T) string {
 			res, err := goldenDeploy()
 			if err != nil {
 				t.Fatal(err)
 			}
-			return campaign.DeployTable(res).String()
+			return cellSections(res, "deploy")
 		}},
 	}
 	for _, a := range artifacts {

@@ -68,7 +68,7 @@ func TestCampaignCachedRunByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := campaign.Matrix(uncached).String()
+	ref := section(uncached, "matrix").Text()
 
 	for _, p := range []int{1, 4} {
 		cache := newMemCellCache()
@@ -95,7 +95,7 @@ func TestCampaignCachedRunByteIdentical(t *testing.T) {
 		if !reflect.DeepEqual(warm, uncached) {
 			t.Fatalf("p=%d warm cached run diverges from uncached reference", p)
 		}
-		if got := campaign.Matrix(warm).String(); got != ref {
+		if got := section(warm, "matrix").Text(); got != ref {
 			t.Fatalf("p=%d warm matrix bytes diverge:\n--- reference\n%s\n--- warm\n%s", p, ref, got)
 		}
 	}

@@ -3,10 +3,12 @@
 // victim, under every Table 5 resolver implementation profile, for
 // every defense SET of the stacking lattice (§6 countermeasures
 // composed, not just switched on one at a time), at every
-// forwarder-chain depth, from both attacker placements — a method ×
-// victim × profile × defense-set × chain-depth × placement
-// cross-product executed as independent simulation cells on the
-// sharded experiment engine.
+// forwarder-chain depth, from both attacker placements, over every
+// upstream transport and deployment dataset — a method × victim ×
+// profile × defense-set × chain-depth × placement × transport ×
+// deployment cross-product executed as independent simulation cells
+// on the sharded experiment engine. The axes are declared once, in
+// the axis table (axes.go).
 //
 // The paper demonstrates each victim against one hand-picked method
 // (Table 1) and compares the methods on one canonical scenario
@@ -17,16 +19,17 @@
 // exercises the application to observe the actual impact.
 //
 // Determinism contract: a cell's seed derives from the BASE SEED and
-// the cell's identity key (method/victim/profile/defense), never from
-// its position in the sweep. Output is therefore byte-identical for
+// the cell's identity key (its axis keys joined with "/", see
+// Cell.Key), never from its position in the sweep. Output is therefore byte-identical for
 // any Parallelism, and a filtered sweep reproduces exactly the cells
 // of the full sweep.
 package campaign
 
 import (
 	"fmt"
+	"maps"
 	"net/netip"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -41,9 +44,9 @@ import (
 )
 
 // Attack-effort knobs shared by every cell. They bound the per-cell
-// simulation cost so the full 750-cell product stays tractable; the
-// bounds are generous enough that every method converges on its
-// vulnerable cells.
+// simulation cost so the full 100800-cell default product stays
+// tractable; the bounds are generous enough that every method
+// converges on its vulnerable cells.
 const (
 	// sadPortRange is the resolver ephemeral-port span SadDNS scans
 	// per cell (the paper's resolvers expose ~28k ports; the scan cost
@@ -404,100 +407,9 @@ type Cell struct {
 	Deployment DeploymentEntry
 }
 
-// Key returns the cell's stable identity
-// ("method/victim/profile/defense-set/depth/placement/transport") —
-// the string its seed derives from. The defense component is the
-// set's canonical key, so a singleton set keeps the exact identity
-// (and therefore the exact trial population) of the historical scalar
-// axis. By the same argument the deployment component appears only
-// for sampled datasets ("/measured", "/hardened"): a canonical cell's
-// key — and therefore its seed and trial population — is exactly the
-// pre-deployment-axis identity.
-func (c Cell) Key() string {
-	k := c.Method.Key + "/" + c.Victim.Key + "/" + c.Profile.Key + "/" + c.Defenses.Key +
-		"/" + c.Depth.Key + "/" + c.Placement.Key + "/" + c.Transport.Key
-	if !c.Deployment.Dataset.Canonical() {
-		k += "/" + c.Deployment.Key
-	}
-	return k
-}
-
 // Cells plans the (filtered) cross-product at the default lattice
 // rank; see CellsAtRank.
 func Cells(f Filter) ([]Cell, error) { return CellsAtRank(f, 0) }
-
-// CellsAtRank plans the (filtered) cross-product in deterministic
-// order: methods, then victims, then profiles, then defense sets (the
-// stacking lattice bounded by latticeRank — see DefenseSets), then
-// chain depths, then placements, then transports, then deployment
-// datasets (innermost), each in registry order. Unknown filter keys
-// are an error, not a silent empty sweep.
-func CellsAtRank(f Filter, latticeRank int) ([]Cell, error) {
-	methods, err := selected("method", Methods(), func(m Method) string { return m.Key }, f.Methods)
-	if err != nil {
-		return nil, err
-	}
-	victims, err := selected("victim", apps.Victims(), func(v apps.Victim) string { return v.Key }, f.Victims)
-	if err != nil {
-		return nil, err
-	}
-	profiles, err := selected("profile", Profiles(), func(p ProfileEntry) string { return p.Key }, f.Profiles)
-	if err != nil {
-		return nil, err
-	}
-	defenses, err := defenseAxis(f, latticeRank)
-	if err != nil {
-		return nil, err
-	}
-	depths, err := selected("chain-depth", ChainDepths(), func(d DepthEntry) string { return d.Key }, f.ChainDepths)
-	if err != nil {
-		return nil, err
-	}
-	placements, err := selected("placement", Placements(), func(p PlacementEntry) string { return p.Key }, f.Placements)
-	if err != nil {
-		return nil, err
-	}
-	transports, err := selected("transport", Transports(), func(t TransportEntry) string { return t.Key }, f.Transports)
-	if err != nil {
-		return nil, err
-	}
-	deployments, err := selectedDeployments(f.Deployments)
-	if err != nil {
-		return nil, err
-	}
-	var cells []Cell
-	for _, m := range methods {
-		for _, v := range victims {
-			for _, p := range profiles {
-				for _, d := range defenses {
-					for _, dep := range depths {
-						for _, pl := range placements {
-							for _, tr := range transports {
-								for _, dpl := range deployments {
-									cells = append(cells, Cell{Method: m, Victim: v, Profile: p,
-										Defenses: d, Depth: dep, Placement: pl, Transport: tr,
-										Deployment: dpl})
-								}
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-	return cells, nil
-}
-
-// selectedDeployments resolves the deployment-axis filter. An empty
-// filter plans the canonical dataset only (see Filter.Deployments);
-// unknown keys fail with the registry's valid-key list like every
-// other axis.
-func selectedDeployments(want []string) ([]DeploymentEntry, error) {
-	if len(want) == 0 {
-		want = []string{deploy.CanonicalKey}
-	}
-	return selected("deployment", Deployments(), func(d DeploymentEntry) string { return d.Key }, want)
-}
 
 // selected returns the registry entries matching the wanted keys (all
 // entries when want is empty), preserving registry order. Unknown keys
@@ -527,11 +439,7 @@ func selected[T any](dim string, all []T, key func(T) string, want []string) ([]
 		}
 	}
 	if len(wanted) > 0 {
-		unknown := make([]string, 0, len(wanted))
-		for k := range wanted {
-			unknown = append(unknown, k)
-		}
-		sort.Strings(unknown)
+		unknown := slices.Sorted(maps.Keys(wanted))
 		valid := make([]string, 0, len(all))
 		for _, e := range all {
 			valid = append(valid, key(e))

@@ -101,7 +101,7 @@ func TestCampaignByteIdenticalAcrossParallelism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := campaign.Matrix(refRes).String()
+	ref := section(refRes, "matrix").Text()
 	if ref == "" {
 		t.Fatal("empty reference matrix")
 	}
@@ -112,7 +112,7 @@ func TestCampaignByteIdenticalAcrossParallelism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := campaign.Matrix(res).String(); got != ref {
+		if got := section(res, "matrix").Text(); got != ref {
 			t.Fatalf("parallelism %d changed matrix bytes:\n--- p=1\n%s\n--- p=%d\n%s", p, ref, p, got)
 		}
 		if !reflect.DeepEqual(res, refRes) {
@@ -338,8 +338,8 @@ func TestCampaignChainDepthByteIdenticalAcrossParallelism(t *testing.T) {
 	if len(refRes) != len(campaign.ChainDepths())*len(campaign.Placements())*2 {
 		t.Fatalf("unexpected cell count %d", len(refRes))
 	}
-	refMatrix := campaign.Matrix(refRes).String()
-	refDepth := campaign.DepthTable(refRes).String()
+	refMatrix := section(refRes, "matrix").Text()
+	refDepth := section(refRes, "depth").Text()
 	for _, p := range []int{3, 8} {
 		cfg := base
 		cfg.Exec.Parallelism = p
@@ -347,10 +347,10 @@ func TestCampaignChainDepthByteIdenticalAcrossParallelism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := campaign.Matrix(res).String(); got != refMatrix {
+		if got := section(res, "matrix").Text(); got != refMatrix {
 			t.Fatalf("parallelism %d changed chain matrix bytes:\n--- p=1\n%s\n--- p=%d\n%s", p, refMatrix, p, got)
 		}
-		if got := campaign.DepthTable(res).String(); got != refDepth {
+		if got := section(res, "depth").Text(); got != refDepth {
 			t.Fatalf("parallelism %d changed depth table bytes", p)
 		}
 	}

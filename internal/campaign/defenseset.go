@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -146,16 +147,13 @@ func defenseAxis(f Filter, rank int) ([]DefenseSet, error) {
 		if len(f.Defenses) > 0 {
 			return nil, fmt.Errorf("campaign: the defense filter and the defense-set filter are mutually exclusive; bound the lattice with base keys (-defenses) or pick exact stacks (-defense-sets), not both")
 		}
-		want := make([]string, 0, len(f.DefenseSets))
-		for _, k := range f.DefenseSets {
-			if k = strings.TrimSpace(k); k != "" {
-				want = append(want, canonicalSetKey(k))
+		// Blank entries stay blank, so selected rejects a filter whose
+		// every entry trimmed away instead of sweeping the full lattice.
+		want := make([]string, len(f.DefenseSets))
+		for i, k := range f.DefenseSets {
+			if strings.TrimSpace(k) != "" {
+				want[i] = canonicalSetKey(k)
 			}
-		}
-		if len(want) == 0 {
-			// Non-empty filter whose every entry trimmed away: reject
-			// rather than silently sweep the full lattice.
-			return nil, fmt.Errorf("campaign: defense-set filter has no usable keys")
 		}
 		return selected("defense-set", DefenseSets(base, len(base)),
 			func(s DefenseSet) string { return s.Key }, want)
@@ -182,11 +180,5 @@ func selectedBase(base []scenario.DefenseSpec, want []string) ([]scenario.Defens
 	if err != nil {
 		return nil, err
 	}
-	var out []scenario.DefenseSpec
-	for _, d := range sel {
-		if d.Key != NoDefenseKey {
-			out = append(out, d)
-		}
-	}
-	return out, nil
+	return slices.DeleteFunc(sel, func(d scenario.DefenseSpec) bool { return d.Key == NoDefenseKey }), nil
 }

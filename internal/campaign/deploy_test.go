@@ -7,6 +7,7 @@ import (
 
 	"crosslayer/internal/deploy"
 	"crosslayer/internal/measure"
+	"crosslayer/internal/report"
 )
 
 // deployFilter is the shared small sweep the deployment-axis tests
@@ -104,8 +105,8 @@ func TestCampaignDeployByteIdenticalAcrossParallelism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refMatrix := Matrix(ref).String()
-	refDeploy := DeployTable(ref).String()
+	refMatrix := Report(ref, report.Spec{}).Section("matrix").Text()
+	refDeploy := Report(ref, report.Spec{}).Section("deploy").Text()
 	for _, p := range []int{3, 8} {
 		cfg := base
 		cfg.Exec.Parallelism = p
@@ -113,10 +114,10 @@ func TestCampaignDeployByteIdenticalAcrossParallelism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := Matrix(res).String(); got != refMatrix {
+		if got := Report(res, report.Spec{}).Section("matrix").Text(); got != refMatrix {
 			t.Fatalf("parallelism %d changed deploy matrix bytes:\n--- p=1\n%s\n--- p=%d\n%s", p, refMatrix, p, got)
 		}
-		if got := DeployTable(res).String(); got != refDeploy {
+		if got := Report(res, report.Spec{}).Section("deploy").Text(); got != refDeploy {
 			t.Fatalf("parallelism %d changed deploy table bytes", p)
 		}
 	}
@@ -165,7 +166,7 @@ func TestCampaignDeployRatesDiffer(t *testing.T) {
 	}
 	rate := map[string]float64{}
 	for _, r := range res {
-		rate[deploymentOf(r)] = r.Poisoned.Frac()
+		rate[r.Deployment] = r.Poisoned.Frac()
 	}
 	if rate["canonical"] == 0 {
 		t.Fatal("saddns must poison the undefended canonical world")
@@ -188,7 +189,7 @@ func TestDeployTableRendersCI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := DeployTable(res).String()
+	out := Report(res, report.Spec{}).Section("deploy").Text()
 	for _, want := range []string{"canonical", "measured", "±", "hijack"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("deploy table missing %q:\n%s", want, out)

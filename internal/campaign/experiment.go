@@ -10,71 +10,53 @@ import (
 
 // This file registers the campaign sweep in the experiment registry:
 // one "campaign" entry whose Report carries the full artifact family —
-// the per-cell matrix, the method × defense summary, the chain-depth
-// table and the two defense-lattice views — as named sections built
-// from one run's cells.
+// the per-cell matrix, the pivot views and the two defense-lattice
+// views — as named sections built from one run's cells.
+
+// campaignTitle is the campaign experiment's registry title.
+const campaignTitle = "Campaign: method × victim × profile × defense-set × chain-depth × placement × transport sweep"
 
 func init() {
-	report.Register(report.Experiment{
-		Name:  "campaign",
-		Title: "Campaign: method × victim × profile × defense-set × chain-depth × placement × transport sweep",
-		Run:   runExperiment,
-	})
+	report.Register(report.Experiment{Name: "campaign", Title: campaignTitle,
+		Run: func(ctx context.Context, spec report.Spec) (*report.Report, error) {
+			cells, err := RunContext(ctx, ConfigFromSpec(spec))
+			if err != nil {
+				return nil, err
+			}
+			return Report(cells, spec), nil
+		}})
 }
 
 // ConfigFromSpec projects the registry's uniform run Spec onto a
-// campaign Config: the execution knobs ride measure.Config, the sweep
-// dimensions become the Filter.
+// campaign Config: the execution knobs ride measure.Config, the axis
+// filters become the Filter.
 func ConfigFromSpec(spec report.Spec) Config {
-	return Config{
-		Exec: measure.ConfigFromSpec(spec),
-		Filter: Filter{
-			Methods:     spec.Methods,
-			Victims:     spec.Victims,
-			Profiles:    spec.Profiles,
-			Defenses:    spec.Defenses,
-			DefenseSets: spec.DefenseSets,
-			ChainDepths: spec.ChainDepths,
-			Placements:  spec.Placements,
-			Transports:  spec.Transports,
-			Deployments: spec.Deployments,
-		},
+	cfg := Config{
+		Exec:        measure.ConfigFromSpec(spec),
 		Trials:      spec.Trials,
 		LatticeRank: spec.LatticeRank,
 		Downgrade:   spec.Downgrade,
 	}
-}
-
-// runExperiment executes the sweep and assembles the campaign Report:
-// the sections of Matrix, Summary, DepthTable and Lattice over the
-// same cells, plus the sweep parameters.
-func runExperiment(ctx context.Context, spec report.Spec) (*report.Report, error) {
-	cfg := ConfigFromSpec(spec)
-	cells, err := RunContext(ctx, cfg)
-	if err != nil {
-		return nil, err
+	for _, fk := range FilterKeys() {
+		*fk.filter(&cfg.Filter) = *fk.Spec(&spec)
 	}
-	return Report(cells, spec), nil
+	return cfg
 }
 
-// Report assembles the full campaign Report from a run's cells. The
-// sections keep their renderer names ("matrix", "summary", "depth",
-// "transport", "deploy", "lattice-sets", "lattice-marginal"), so
-// section-level consumers — the golden suite pins each as its own text
-// artifact — address them stably.
+// Report assembles the full campaign Report from a run's cells: the
+// sweep parameters, then the sections "matrix", the pivots "summary",
+// "depth", "transport" and "deploy", and "lattice-sets" and
+// "lattice-marginal". Consumers address sections by these names — the
+// golden suite pins each as its own text artifact.
 func Report(cells []CellResult, spec report.Spec) *report.Report {
-	rep := report.New("campaign",
-		"Campaign: method × victim × profile × defense-set × chain-depth × placement × transport sweep")
+	rep := report.New("campaign", campaignTitle)
 	report.BaseParams(rep, spec)
-	addListParam(rep, "methods", spec.Methods)
-	addListParam(rep, "victims", spec.Victims)
-	addListParam(rep, "profiles", spec.Profiles)
-	addListParam(rep, "defenses", spec.Defenses)
-	addListParam(rep, "defense_sets", spec.DefenseSets)
-	addListParam(rep, "chain_depths", spec.ChainDepths)
-	addListParam(rep, "placements", spec.Placements)
-	addListParam(rep, "transports", spec.Transports)
-	addListParam(rep, "deployments", spec.Deployments)
+	for _, fk := range FilterKeys() {
+		if keys := *fk.Spec(&spec); len(keys) > 0 {
+			// Empty means the axis default and is not recorded.
+			rep.AddParam(fk.Param, strings.Join(keys, ","))
+		}
+	}
 	if spec.Trials != 0 {
 		rep.AddParam("trials", spec.Trials)
 	}
@@ -84,16 +66,10 @@ func Report(cells []CellResult, spec report.Spec) *report.Report {
 	if spec.Downgrade {
 		rep.AddParam("downgrade", true)
 	}
-	for _, sub := range []*report.Report{Matrix(cells), Summary(cells), DepthTable(cells), TransportTable(cells), DeployTable(cells), Lattice(cells)} {
-		rep.Sections = append(rep.Sections, sub.Sections...)
+	rep.AddSection(matrix(cells))
+	for _, p := range pivots {
+		rep.AddSection(p.section(cells))
 	}
+	rep.Sections = append(rep.Sections, lattice(cells)...)
 	return rep
-}
-
-// addListParam records a sweep dimension filter; empty means the full
-// axis and is not recorded.
-func addListParam(rep *report.Report, name string, keys []string) {
-	if len(keys) > 0 {
-		rep.AddParam(name, strings.Join(keys, ","))
-	}
 }

@@ -1,20 +1,20 @@
 package campaign
 
 import (
+	"slices"
 	"strings"
 
 	"crosslayer/internal/report"
 	"crosslayer/internal/scenario"
-	"crosslayer/internal/stats"
 )
 
-// Lattice builds the defense-stacking view of a campaign run as a
-// two-section Report, the artifact pinned as
-// testdata/golden/campaign_lattice.txt:
+// lattice builds the defense-stacking view of a campaign run as two
+// sections, the artifact pinned as testdata/golden/campaign_lattice.txt:
 //
 //   - "lattice-sets": one row per defense set in sweep order, one
 //     poisoning-rate column per method, aggregated over victims,
-//     profiles, chain depths and placements;
+//     profiles, chain depths and placements (the summary pivot's
+//     aggregation, transposed, plus each set's rank);
 //   - "lattice-marginal": for each base defense d and each measured
 //     subset S not containing d (with S ∪ {d} also measured), the
 //     per-method drop in poisoning rate caused by stacking d on top
@@ -26,76 +26,57 @@ import (
 // At lattice rank 1 the sets section degenerates to the historical
 // scalar method × defense summary (transposed) and the marginal
 // section only reports each defense against the undefended baseline.
-func Lattice(results []CellResult) *report.Report {
-	type mk struct{ method, set string }
-	agg := map[mk]stats.Counter{}
-	var methods, sets []string
-	seenM, seenS := map[string]bool{}, map[string]bool{}
-	for _, r := range results {
-		if !seenM[r.Method] {
-			seenM[r.Method] = true
-			methods = append(methods, r.Method)
-		}
-		if !seenS[r.Defense] {
-			seenS[r.Defense] = true
-			sets = append(sets, r.Defense)
-		}
-		k := mk{r.Method, r.Defense}
-		agg[k] = agg[k].Plus(r.Poisoned)
-	}
-
-	rep := report.New("campaign-lattice", "Campaign defense-stacking lattice")
+func lattice(results []CellResult) []*report.Section {
+	t := aggregate(results, []string{"Method"}, "Defense")
 
 	setCols := []report.Column{
 		report.Col("Defense set", report.KindString),
 		report.Col("Rank", report.KindInt),
 	}
-	for _, m := range methods {
-		setCols = append(setCols, report.Col(m, report.KindRatio))
+	for _, m := range t.rows {
+		setCols = append(setCols, report.Col(m[0], report.KindRatio))
 	}
-	setsSec := rep.AddSection(report.Table("lattice-sets",
+	sets := report.Table("lattice-sets",
 		"Campaign lattice: poisoning success by defense set × method (over victims × profiles × depths × placements)",
-		setCols...))
-	for _, s := range sets {
-		row := []any{s, setRank(s)}
-		for _, m := range methods {
-			row = append(row, agg[mk{m, s}])
+		setCols...)
+	for si, s := range t.cols {
+		row := []any{s, len(setComponents(s))}
+		for mi := range t.rows {
+			row = append(row, t.at(mi, si))
 		}
-		setsSec.Add(row...)
+		sets.Add(row...)
 	}
 
-	margCols := []report.Column{
-		report.Col("Defense", report.KindString),
-		report.Col("On top of", report.KindString),
+	margCols := report.StrCols("Defense", "On top of")
+	for _, m := range t.rows {
+		margCols = append(margCols, report.Col(m[0], report.KindPP))
 	}
-	for _, m := range methods {
-		margCols = append(margCols, report.Col(m, report.KindPP))
-	}
-	margSec := rep.AddSection(report.Table("lattice-marginal",
+	marginal := report.Table("lattice-marginal",
 		"Campaign lattice: marginal coverage — Δ poisoning (pp) from stacking each defense on every measured subset",
-		margCols...))
-	for _, d := range presentBaseDefenses(sets) {
-		for _, s := range sets {
-			if setContains(s, d) {
+		margCols...)
+	for _, d := range presentBaseDefenses(t.cols) {
+		for si, s := range t.cols {
+			comps := setComponents(s)
+			if slices.Contains(comps, d) {
 				continue
 			}
-			super := DefenseSetKey(append(setComponents(s), d))
-			if !seenS[super] {
+			superI, ok := t.colAt[DefenseSetKey(append(comps, d))]
+			if !ok {
 				continue
 			}
 			row := []any{d, s}
-			for _, m := range methods {
-				before, after := agg[mk{m, s}], agg[mk{m, super}]
+			for mi := range t.rows {
+				before, after := t.at(mi, si), t.at(mi, superI)
 				if before.Total == 0 || after.Total == 0 {
 					row = append(row, nil)
 					continue
 				}
 				row = append(row, 100*(before.Frac()-after.Frac()))
 			}
-			margSec.Add(row...)
+			marginal.Add(row...)
 		}
 	}
-	return rep
+	return []*report.Section{sets, marginal}
 }
 
 // setComponents splits a canonical set key into its base-defense keys
@@ -105,21 +86,6 @@ func setComponents(key string) []string {
 		return nil
 	}
 	return strings.Split(key, "+")
-}
-
-// setRank returns the number of defenses stacked in a canonical set
-// key.
-func setRank(key string) int { return len(setComponents(key)) }
-
-// setContains reports whether the canonical set key stacks the base
-// defense.
-func setContains(key, base string) bool {
-	for _, c := range setComponents(key) {
-		if c == base {
-			return true
-		}
-	}
-	return false
 }
 
 // presentBaseDefenses returns the base defenses appearing in any of

@@ -236,8 +236,7 @@ func TestCampaignStackingStory(t *testing.T) {
 	// shuffle on 0x20 only covers frag, stacking 0x20 on shuffle only
 	// covers saddns. Method columns follow filter (registry) order:
 	// saddns, then frag.
-	lat := campaign.Lattice(res)
-	margSec := lat.Section("lattice-marginal")
+	margSec := section(res, "lattice-marginal")
 	marginal := func(defense, onTopOf string) []string {
 		for _, row := range margSec.CellStrings() {
 			if row[0] == defense && row[1] == onTopOf {

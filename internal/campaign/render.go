@@ -1,65 +1,46 @@
 package campaign
 
 import (
-	"sort"
+	"slices"
+	"strings"
 
-	"crosslayer/internal/deploy"
 	"crosslayer/internal/report"
 	"crosslayer/internal/stats"
 )
 
-// deploymentOf returns the result's deployment-dataset key, mapping
-// the empty key (results from pre-axis checkpoints) to canonical.
-func deploymentOf(r CellResult) string {
-	if r.Deployment == "" {
-		return deploy.CanonicalKey
-	}
-	return r.Deployment
-}
-
-// Matrix builds the full per-cell success-rate/cost matrix: the
-// campaign's extension of Tables 1 and 6. Poisoned is the chain cache
-// ground truth over the cell's trials, Impact the application-level
-// outcome check, and the cost columns are per-trial percentiles of
-// attack rounds, attacker packets and virtual attack time. A Dataset
-// column appears only when the results span a sampled deployment
-// population — all-canonical sweeps keep the historical byte-exact
+// matrix builds the full per-cell success-rate/cost matrix: the
+// campaign's extension of Tables 1 and 6. One column per axis, then
+// Poisoned (the chain cache ground truth over the cell's trials),
+// Impact (the application-level outcome check) and per-trial
+// percentiles of attack rounds, attacker packets and virtual attack
+// time. An axis with a Default drops its column when every row holds
+// the default, so all-canonical sweeps keep the historical byte-exact
 // shape.
-func Matrix(results []CellResult) *report.Report {
-	withDeploy := false
-	for _, r := range results {
-		if deploymentOf(r) != deploy.CanonicalKey {
-			withDeploy = true
-			break
+func matrix(results []CellResult) *report.Section {
+	var shown []*Axis
+	var names []string
+	for i := range axes {
+		a := &axes[i]
+		if a.Default == "" || slices.ContainsFunc(results, func(r CellResult) bool { return a.value(&r) != a.Default }) {
+			shown = append(shown, a)
+			names = append(names, a.Column)
 		}
 	}
-	cols := []report.Column{
-		report.Col("Method", report.KindString),
-		report.Col("Victim", report.KindString),
-		report.Col("Profile", report.KindString),
-		report.Col("Defense", report.KindString),
-		report.Col("Depth", report.KindString),
-		report.Col("Placement", report.KindString),
-		report.Col("Transport", report.KindString),
-	}
-	if withDeploy {
-		cols = append(cols, report.Col("Dataset", report.KindString))
-	}
-	cols = append(cols,
+	cols := append(report.StrCols(names...),
 		report.Col("Poisoned", report.KindRatio),
 		report.Col("Impact", report.KindRatio),
 		report.Col("Iter p50", report.KindRound),
 		report.Col("Pkts p50", report.KindRound),
 		report.Col("Time p50", report.KindSeconds),
 		report.Col("Time p95", report.KindSeconds))
-	rep := report.New("campaign", "Campaign matrix")
-	sec := rep.AddSection(report.Table("matrix",
+	sec := report.Table("matrix",
 		"Campaign matrix: method × victim × profile × defense × chain depth × placement × transport",
-		cols...))
-	for _, r := range results {
-		row := []any{r.Method, r.Victim, r.Profile, r.Defense, r.Depth, r.Placement, r.Transport}
-		if withDeploy {
-			row = append(row, deploymentOf(r))
+		cols...)
+	for i := range results {
+		r := &results[i]
+		row := make([]any, 0, len(cols))
+		for _, a := range shown {
+			row = append(row, a.value(r))
 		}
 		row = append(row,
 			r.Poisoned, r.Impact,
@@ -69,180 +50,112 @@ func Matrix(results []CellResult) *report.Report {
 			r.Seconds.Quantile(0.95))
 		sec.Add(row...)
 	}
-	return rep
+	return sec
 }
 
-// DeployTable builds the deployment view of the sweep — the paper's
-// population question: for each method, the poisoning rate under
-// every deployment dataset present in the results (sweep order),
-// aggregated over victims, profiles, defenses, depths, placements and
-// transports, rendered as rate ± the 95% Wilson confidence half-width
-// (stats.Counter.Wilson). Canonical cells answer "is this
-// configuration vulnerable"; sampled datasets answer "what fraction
-// of a deployed population is", and the CI says how much the per-cell
-// sample sizes let you conclude.
-func DeployTable(results []CellResult) *report.Report {
-	type md struct{ method, dataset string }
-	agg := map[md]stats.Counter{}
-	var methods, datasets []string
-	seenM, seenD := map[string]bool{}, map[string]bool{}
-	for _, r := range results {
-		dpl := deploymentOf(r)
-		if !seenM[r.Method] {
-			seenM[r.Method] = true
-			methods = append(methods, r.Method)
-		}
-		if !seenD[dpl] {
-			seenD[dpl] = true
-			datasets = append(datasets, dpl)
-		}
-		k := md{r.Method, dpl}
-		agg[k] = agg[k].Plus(r.Poisoned)
+// pivot is one method × dimension view of a sweep: the poisoning rate
+// aggregated over every axis it does not name, one row per distinct
+// combination of the row axes and one column per value of the column
+// axis.
+type pivot struct {
+	name, title string
+	// rows and col name axes by their Column header.
+	rows []string
+	col  string
+	// kind is the rate format: KindRatio, or KindRatioCI for a rate
+	// with its 95% Wilson half-width.
+	kind report.Kind
+	// prefix labels the value columns ("depth " for "depth 2").
+	prefix string
+}
+
+// pivots are the campaign's aggregate views, in report order.
+var pivots = []pivot{
+	// Which defense stops which method.
+	{name: "summary", rows: []string{"Method"}, col: "Defense", kind: report.KindRatio,
+		title: "Campaign summary: poisoning success by method × defense (over victims × profiles × depths × placements)"},
+	// Does a forwarder chain make the attack easier, and from where.
+	{name: "depth", rows: []string{"Method", "Placement"}, col: "Depth", kind: report.KindRatio, prefix: "depth ",
+		title: "Campaign chains: poisoning success by method × placement × chain depth (over victims × profiles × defenses)"},
+	// Which attacks survive which upstream transports, and what a
+	// plaintext front hop gives back.
+	{name: "transport", rows: []string{"Method"}, col: "Transport", kind: report.KindRatio,
+		title: "Campaign transports: poisoning success by method × upstream transport (over victims × profiles × defenses × depths × placements)"},
+	// What fraction of a deployed population each attack compromises,
+	// and how tightly the per-cell sample sizes pin that down.
+	{name: "deploy", rows: []string{"Method"}, col: "Dataset", kind: report.KindRatioCI,
+		title: "Campaign deployments: poisoning rate ±95% CI by method × deployment dataset (over victims × profiles × defenses × depths × placements × transports)"},
+}
+
+// section renders the pivot over results.
+func (p pivot) section(results []CellResult) *report.Section {
+	t := aggregate(results, p.rows, p.col)
+	cols := report.StrCols(p.rows...)
+	for _, c := range t.cols {
+		cols = append(cols, report.Col(p.prefix+c, p.kind))
 	}
-	cols := []report.Column{report.Col("Method", report.KindString)}
-	for _, d := range datasets {
-		cols = append(cols, report.Col(d, report.KindRatioCI))
-	}
-	rep := report.New("campaign-deploy", "Campaign method × deployment-dataset table")
-	sec := rep.AddSection(report.Table("deploy",
-		"Campaign deployments: poisoning rate ±95% CI by method × deployment dataset (over victims × profiles × defenses × depths × placements × transports)",
-		cols...))
-	for _, m := range methods {
-		row := []any{m}
-		for _, d := range datasets {
-			row = append(row, agg[md{m, d}])
+	sec := report.Table(p.name, p.title, cols...)
+	for ri, vals := range t.rows {
+		row := make([]any, 0, len(cols))
+		for _, v := range vals {
+			row = append(row, v)
+		}
+		for ci := range t.cols {
+			row = append(row, t.at(ri, ci))
 		}
 		sec.Add(row...)
 	}
-	return rep
+	return sec
 }
 
-// DepthTable builds the depth-vs-success view of the sweep: for each
-// method × attacker placement, the poisoning rate at every chain depth
-// present in the results, aggregated over victims, profiles and
-// defenses — the one-screen answer to "does a forwarder chain make the
-// attack easier, and from where".
-func DepthTable(results []CellResult) *report.Report {
-	type mp struct{ method, placement string }
-	type cell struct {
-		mp    mp
-		depth string
-	}
-	agg := map[cell]stats.Counter{}
-	var rows []mp
-	var depths []string
-	seenRow, seenDepth := map[mp]bool{}, map[string]bool{}
-	for _, r := range results {
-		k := mp{r.Method, r.Placement}
-		if !seenRow[k] {
-			seenRow[k] = true
-			rows = append(rows, k)
-		}
-		if !seenDepth[r.Depth] {
-			seenDepth[r.Depth] = true
-			depths = append(depths, r.Depth)
-		}
-		c := cell{k, r.Depth}
-		agg[c] = agg[c].Plus(r.Poisoned)
-	}
-	sort.Strings(depths)
-	cols := []report.Column{
-		report.Col("Method", report.KindString),
-		report.Col("Placement", report.KindString),
-	}
-	for _, d := range depths {
-		cols = append(cols, report.Col("depth "+d, report.KindRatio))
-	}
-	rep := report.New("campaign-depth", "Campaign chain-depth table")
-	sec := rep.AddSection(report.Table("depth",
-		"Campaign chains: poisoning success by method × placement × chain depth (over victims × profiles × defenses)",
-		cols...))
-	for _, k := range rows {
-		row := []any{k.method, k.placement}
-		for _, d := range depths {
-			row = append(row, agg[cell{k, d}])
-		}
-		sec.Add(row...)
-	}
-	return rep
+// rates is a pivot's aggregation: the Poisoned counters summed per
+// (row, column), with rows and columns in first-seen order. Run and
+// the cache both return cells in plan order, so first-seen order is
+// registry order.
+type rates struct {
+	// rows holds each row's row-axis values; cols the column-axis
+	// values.
+	rows   [][]string
+	cols   []string
+	rowAt  map[string]int
+	colAt  map[string]int
+	counts map[[2]int]stats.Counter
 }
 
-// TransportTable builds the transport-vs-success view of the sweep:
-// for each method, the poisoning rate under every upstream transport
-// present in the results (sweep order), aggregated over victims,
-// profiles, defenses, depths and placements — the one-screen answer to
-// "which attacks survive which upstream transports, and what does a
-// plaintext front hop give back".
-func TransportTable(results []CellResult) *report.Report {
-	type mt struct{ method, transport string }
-	agg := map[mt]stats.Counter{}
-	var methods, transports []string
-	seenM, seenT := map[string]bool{}, map[string]bool{}
-	for _, r := range results {
-		if !seenM[r.Method] {
-			seenM[r.Method] = true
-			methods = append(methods, r.Method)
-		}
-		if !seenT[r.Transport] {
-			seenT[r.Transport] = true
-			transports = append(transports, r.Transport)
-		}
-		k := mt{r.Method, r.Transport}
-		agg[k] = agg[k].Plus(r.Poisoned)
+// aggregate folds results into rates over the named row axes and
+// column axis.
+func aggregate(results []CellResult, rowCols []string, colName string) *rates {
+	rowAxes := make([]*Axis, len(rowCols))
+	for i, name := range rowCols {
+		rowAxes[i] = axisByColumn(name)
 	}
-	cols := []report.Column{report.Col("Method", report.KindString)}
-	for _, t := range transports {
-		cols = append(cols, report.Col(t, report.KindRatio))
-	}
-	rep := report.New("campaign-transport", "Campaign method × transport table")
-	sec := rep.AddSection(report.Table("transport",
-		"Campaign transports: poisoning success by method × upstream transport (over victims × profiles × defenses × depths × placements)",
-		cols...))
-	for _, m := range methods {
-		row := []any{m}
-		for _, t := range transports {
-			row = append(row, agg[mt{m, t}])
+	colAxis := axisByColumn(colName)
+	t := &rates{rowAt: map[string]int{}, colAt: map[string]int{}, counts: map[[2]int]stats.Counter{}}
+	for i := range results {
+		r := &results[i]
+		vals := make([]string, len(rowAxes))
+		for j, a := range rowAxes {
+			vals[j] = a.value(r)
 		}
-		sec.Add(row...)
+		row := strings.Join(vals, "\x00")
+		ri, ok := t.rowAt[row]
+		if !ok {
+			ri = len(t.rows)
+			t.rowAt[row] = ri
+			t.rows = append(t.rows, vals)
+		}
+		c := colAxis.value(r)
+		ci, ok := t.colAt[c]
+		if !ok {
+			ci = len(t.cols)
+			t.colAt[c] = ci
+			t.cols = append(t.cols, c)
+		}
+		k := [2]int{ri, ci}
+		t.counts[k] = t.counts[k].Plus(r.Poisoned)
 	}
-	return rep
+	return t
 }
 
-// Summary builds the method × defense poisoning-rate matrix,
-// aggregated over every victim, profile, chain depth and placement in
-// the results — the one-screen answer to "which defense stops which
-// method".
-func Summary(results []CellResult) *report.Report {
-	type mk struct{ method, defense string }
-	agg := map[mk]stats.Counter{}
-	var methods, defenses []string
-	seenM, seenD := map[string]bool{}, map[string]bool{}
-	for _, r := range results {
-		if !seenM[r.Method] {
-			seenM[r.Method] = true
-			methods = append(methods, r.Method)
-		}
-		if !seenD[r.Defense] {
-			seenD[r.Defense] = true
-			defenses = append(defenses, r.Defense)
-		}
-		k := mk{r.Method, r.Defense}
-		agg[k] = agg[k].Plus(r.Poisoned)
-	}
-	cols := []report.Column{report.Col("Method", report.KindString)}
-	for _, d := range defenses {
-		cols = append(cols, report.Col(d, report.KindRatio))
-	}
-	rep := report.New("campaign-summary", "Campaign method × defense summary")
-	sec := rep.AddSection(report.Table("summary",
-		"Campaign summary: poisoning success by method × defense (over victims × profiles × depths × placements)",
-		cols...))
-	for _, m := range methods {
-		row := []any{m}
-		for _, d := range defenses {
-			row = append(row, agg[mk{m, d}])
-		}
-		sec.Add(row...)
-	}
-	return rep
-}
+// at returns the summed counter of row ri and column ci.
+func (t *rates) at(ri, ci int) stats.Counter { return t.counts[[2]int{ri, ci}] }

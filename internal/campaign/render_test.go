@@ -6,24 +6,29 @@ import (
 
 	"crosslayer/internal/campaign"
 	"crosslayer/internal/measure"
+	"crosslayer/internal/report"
 )
 
-// TestRenderEmptyResults: every renderer must survive a sweep that
+// section renders one named section of the campaign Report over res.
+func section(res []campaign.CellResult, name string) *report.Section {
+	return campaign.Report(res, report.Spec{}).Section(name)
+}
+
+// TestRenderEmptyResults: every section must survive a sweep that
 // produced no cells (e.g. a future conditional filter) — headers only,
 // no panic, no stray rows.
 func TestRenderEmptyResults(t *testing.T) {
-	if got := campaign.Matrix(nil).Sections[0]; len(got.Rows) != 0 || got.Text() == "" {
+	if got := section(nil, "matrix"); len(got.Rows) != 0 || got.Text() == "" {
 		t.Fatalf("empty matrix: %d rows\n%s", len(got.Rows), got.Text())
 	}
-	if got := campaign.Summary(nil).Sections[0]; len(got.Rows) != 0 || got.Text() == "" {
+	if got := section(nil, "summary"); len(got.Rows) != 0 || got.Text() == "" {
 		t.Fatalf("empty summary: %d rows\n%s", len(got.Rows), got.Text())
 	}
-	if got := campaign.DepthTable(nil).Sections[0]; len(got.Rows) != 0 || got.Text() == "" {
+	if got := section(nil, "depth"); len(got.Rows) != 0 || got.Text() == "" {
 		t.Fatalf("empty depth table: %d rows\n%s", len(got.Rows), got.Text())
 	}
-	lat := campaign.Lattice(nil)
-	sets, marginal := lat.Section("lattice-sets"), lat.Section("lattice-marginal")
-	if len(sets.Rows) != 0 || len(marginal.Rows) != 0 || lat.String() == "" {
+	sets, marginal := section(nil, "lattice-sets"), section(nil, "lattice-marginal")
+	if len(sets.Rows) != 0 || len(marginal.Rows) != 0 || sets.Text() == "" || marginal.Text() == "" {
 		t.Fatalf("empty lattice: %d set rows, %d marginal rows", len(sets.Rows), len(marginal.Rows))
 	}
 }
@@ -45,18 +50,17 @@ func TestRenderSingleCell(t *testing.T) {
 	if len(res) != 1 {
 		t.Fatalf("%d cells, want 1", len(res))
 	}
-	if got := campaign.Matrix(res).Sections[0]; len(got.Rows) != 1 {
+	if got := section(res, "matrix"); len(got.Rows) != 1 {
 		t.Fatalf("single-cell matrix has %d rows", len(got.Rows))
 	}
-	if got := campaign.Summary(res).Sections[0]; len(got.Rows) != 1 || len(got.Columns) != 2 {
+	if got := section(res, "summary"); len(got.Rows) != 1 || len(got.Columns) != 2 {
 		t.Fatalf("single-cell summary %d rows × %d cols", len(got.Rows), len(got.Columns))
 	}
-	lat := campaign.Lattice(res)
-	if sets := lat.Section("lattice-sets"); len(sets.Rows) != 1 {
+	if sets := section(res, "lattice-sets"); len(sets.Rows) != 1 {
 		t.Fatalf("single-cell lattice has %d set rows", len(sets.Rows))
 	}
 	// One baseline cell: nothing to take a marginal against.
-	if marginal := lat.Section("lattice-marginal"); len(marginal.Rows) != 0 {
+	if marginal := section(res, "lattice-marginal"); len(marginal.Rows) != 0 {
 		t.Fatalf("single-cell lattice has %d marginal rows", len(marginal.Rows))
 	}
 }
@@ -75,7 +79,7 @@ func TestDepthTableWithoutChainCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl := campaign.DepthTable(res).Sections[0]
+	tbl := section(res, "depth")
 	if want := []string{"Method", "Placement", "depth 0"}; len(tbl.Columns) != len(want) {
 		t.Fatalf("depth-0-only header %v, want %v", tbl.HeaderNames(), want)
 	}
@@ -103,9 +107,8 @@ func TestLatticeRankOneDegeneratesToScalarSummary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lat := campaign.Lattice(res)
-	sets, marginal := lat.Section("lattice-sets"), lat.Section("lattice-marginal")
-	summarySec := campaign.Summary(res).Sections[0]
+	sets, marginal := section(res, "lattice-sets"), section(res, "lattice-marginal")
+	summarySec := section(res, "summary")
 	summaryHeader := summarySec.HeaderNames()
 	summaryCells := summarySec.CellStrings()
 	// Summary: one row per method, one column per scalar defense.

@@ -192,12 +192,9 @@ func (w *trialWorker) cellConfig(c Cell) scenario.Config {
 // lifecycle; the differential suite uses it to prove both lifecycles
 // produce byte-identical results.
 func runCell(w *trialWorker, c Cell, baseSeed int64, trials int, downgrade, fresh bool) CellResult {
-	res := CellResult{
-		Method: c.Method.Key, Victim: c.Victim.Key,
-		Profile: c.Profile.Key, Defense: c.Defenses.Key,
-		Depth: c.Depth.Key, Placement: c.Placement.Key,
-		Transport: c.Transport.Key, Deployment: c.Deployment.Key,
-		Trials: trials,
+	res := CellResult{Trials: trials}
+	for i := range axes {
+		*axes[i].result(&res) = axes[i].key(&c)
 	}
 	cellSeed := engine.DeriveSeedKey(baseSeed, c.Key())
 	var s *scenario.S

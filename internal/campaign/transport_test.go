@@ -134,8 +134,8 @@ func TestCampaignTransportByteIdenticalAcrossParallelism(t *testing.T) {
 	if len(refRes) != len(campaign.Transports()) {
 		t.Fatalf("unexpected cell count %d, want one per transport (%d)", len(refRes), len(campaign.Transports()))
 	}
-	refMatrix := campaign.Matrix(refRes).String()
-	refTransport := campaign.TransportTable(refRes).String()
+	refMatrix := section(refRes, "matrix").Text()
+	refTransport := section(refRes, "transport").Text()
 	for _, p := range []int{3, 8} {
 		cfg := base
 		cfg.Exec.Parallelism = p
@@ -143,10 +143,10 @@ func TestCampaignTransportByteIdenticalAcrossParallelism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := campaign.Matrix(res).String(); got != refMatrix {
+		if got := section(res, "matrix").Text(); got != refMatrix {
 			t.Fatalf("parallelism %d changed transport matrix bytes:\n--- p=1\n%s\n--- p=%d\n%s", p, refMatrix, p, got)
 		}
-		if got := campaign.TransportTable(res).String(); got != refTransport {
+		if got := section(res, "transport").Text(); got != refTransport {
 			t.Fatalf("parallelism %d changed transport table bytes", p)
 		}
 	}

@@ -60,6 +60,16 @@ type Config struct {
 // Config.CheckpointEvery is zero.
 const DefaultCheckpointEvery = 30 * time.Second
 
+// HTTP timeouts of the server. A client must finish its request
+// headers within ReadHeaderTimeout, and an idle keep-alive connection
+// is closed after IdleTimeout. There is deliberately no read or write
+// timeout: a /run response streams for as long as its sweep runs,
+// which can be minutes.
+const (
+	ReadHeaderTimeout = 10 * time.Second
+	IdleTimeout       = 2 * time.Minute
+)
+
 // Server is the resident sweep service. Create with New, run with Run;
 // requests stream through the HTTP handler while a single runner
 // goroutine executes jobs in arrival order (the engine already
@@ -163,7 +173,7 @@ func (s *Server) Run(ctx context.Context) error {
 		go s.checkpointLoop(ctx, every)
 	}
 
-	httpSrv := &http.Server{Handler: s.handler(ctx)}
+	httpSrv := newHTTPServer(s.handler(ctx))
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 
@@ -189,6 +199,11 @@ func (s *Server) Run(ctx context.Context) error {
 		s.logf("checkpoint: final flush, %d cells in %s", s.cache.stats().Cells, s.cfg.CheckpointPath)
 	}
 	return nil
+}
+
+// newHTTPServer wraps h in an http.Server with the server's timeouts.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: ReadHeaderTimeout, IdleTimeout: IdleTimeout}
 }
 
 // runner executes queued jobs one at a time until ctx is cancelled,
@@ -407,11 +422,12 @@ func (e *eventEncoder) encode(ev *streamEvent) ([]byte, error) {
 
 // specFromQuery maps /run query parameters onto the registry Spec,
 // mirroring the xlmeasure flags: n, seed, parallel, shard-size,
-// sad-ports, trials, lattice-rank (integers), methods, victims,
-// profiles, defenses, defense-sets, chain-depths, placement,
-// transports (comma-separated keys) and downgrade (boolean). Unknown
-// parameters are rejected so typos fail loudly instead of silently
-// sweeping the full axis.
+// sad-ports, trials, lattice-rank (integers), the campaign axis
+// filters of campaign.FilterKeys — methods, victims, profiles,
+// defenses, defense-sets, chain-depths, placement, transports and
+// deployments (comma-separated keys) — and downgrade (boolean).
+// Unknown parameters are rejected so typos fail loudly instead of
+// silently sweeping the full axis.
 func specFromQuery(r *http.Request) (report.Spec, error) {
 	var spec report.Spec
 	spec.SampleCap = 10000 // the CLI's default cap; n=0 opts into full populations
@@ -423,19 +439,13 @@ func specFromQuery(r *http.Request) (report.Spec, error) {
 		"trials":       &spec.Trials,
 		"lattice-rank": &spec.LatticeRank,
 	}
-	lists := map[string]*[]string{
-		"methods":      &spec.Methods,
-		"victims":      &spec.Victims,
-		"profiles":     &spec.Profiles,
-		"defenses":     &spec.Defenses,
-		"defense-sets": &spec.DefenseSets,
-		"chain-depths": &spec.ChainDepths,
-		"placement":    &spec.Placements,
-		"transports":   &spec.Transports,
-		"deployments":  &spec.Deployments,
+	filters := map[string]campaign.FilterKey{}
+	for _, fk := range campaign.FilterKeys() {
+		filters[fk.Flag] = fk
 	}
 	for key, vals := range r.URL.Query() {
 		val := vals[len(vals)-1]
+		fk, isFilter := filters[key]
 		switch {
 		case key == "downgrade":
 			v, err := strconv.ParseBool(val)
@@ -455,12 +465,8 @@ func specFromQuery(r *http.Request) (report.Spec, error) {
 				return spec, fmt.Errorf("bad %s %q", key, val)
 			}
 			*ints[key] = v
-		case lists[key] != nil:
-			for _, k := range strings.Split(val, ",") {
-				if k = strings.TrimSpace(k); k != "" {
-					*lists[key] = append(*lists[key], k)
-				}
-			}
+		case isFilter:
+			fk.Set(&spec, val)
 		default:
 			return spec, fmt.Errorf("unknown parameter %q", key)
 		}

@@ -6,10 +6,15 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
+	"crosslayer/internal/campaign"
 	"crosslayer/internal/report"
 )
 
@@ -362,5 +367,101 @@ func TestServePprofEndpoint(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET /debug/pprof/cmdline: status %d", resp.StatusCode)
+	}
+}
+
+// TestHTTPServerTimeouts pins the server's connection hardening: slow
+// request headers and idle keep-alive connections time out, but no
+// read or write deadline may cut a long-running /run stream.
+func TestHTTPServerTimeouts(t *testing.T) {
+	hs := newHTTPServer(http.NewServeMux())
+	if hs.ReadHeaderTimeout != ReadHeaderTimeout || hs.ReadHeaderTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, want %v", hs.ReadHeaderTimeout, ReadHeaderTimeout)
+	}
+	if hs.IdleTimeout != IdleTimeout || hs.IdleTimeout <= 0 {
+		t.Errorf("IdleTimeout = %v, want %v", hs.IdleTimeout, IdleTimeout)
+	}
+	if hs.WriteTimeout != 0 || hs.ReadTimeout != 0 {
+		t.Errorf("WriteTimeout = %v, ReadTimeout = %v; streamed sweeps need both 0", hs.WriteTimeout, hs.ReadTimeout)
+	}
+}
+
+// TestServeCampaignAxisWalk walks the campaign axis table through the
+// server with no per-axis code. For every axis filter, an unknown key
+// in the query fails listing the registry's valid keys, each of which
+// the filter accepts; the first of them filters a served sweep to that
+// key and is recorded under the filter's report param.
+func TestServeCampaignAxisWalk(t *testing.T) {
+	s, _, _ := startServer(t, Config{})
+	axes := campaign.Axes()
+	// plan parses a /run/campaign query and plans its cells.
+	plan := func(q url.Values) ([]campaign.Cell, error) {
+		spec, err := specFromQuery(httptest.NewRequest("GET", "/run/campaign?"+q.Encode(), nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := campaign.ConfigFromSpec(spec)
+		return campaign.CellsAtRank(cfg.Filter, cfg.LatticeRank)
+	}
+
+	valid := map[string][]string{}
+	for _, a := range axes {
+		for _, f := range a.Filters {
+			_, err := plan(url.Values{f.Flag: {"no-such-key"}})
+			if err == nil {
+				t.Fatalf("?%s=no-such-key planned a sweep", f.Flag)
+			}
+			_, list, ok := strings.Cut(err.Error(), "(valid: ")
+			if !ok || !strings.Contains(err.Error(), "no-such-key") {
+				t.Fatalf("?%s=no-such-key: error %q lists no valid keys", f.Flag, err)
+			}
+			valid[f.Flag] = strings.Split(strings.TrimSuffix(list, ")"), ", ")
+		}
+	}
+	// query filters f to key and pins every other axis to its first
+	// filter's first key.
+	query := func(ai int, f campaign.FilterKey, key string) url.Values {
+		q := url.Values{"trials": {"1"}, f.Flag: {key}}
+		for bi, b := range axes {
+			if bi != ai {
+				q.Set(b.Filters[0].Flag, valid[b.Filters[0].Flag][0])
+			}
+		}
+		return q
+	}
+
+	for ai, a := range axes {
+		for _, f := range a.Filters {
+			for _, key := range valid[f.Flag] {
+				if _, err := plan(query(ai, f, key)); err != nil {
+					t.Errorf("?%s=%s: listed key rejected: %v", f.Flag, key, err)
+				}
+			}
+
+			first := valid[f.Flag][0]
+			q := query(ai, f, first)
+			if cells, err := plan(q); err != nil || len(cells) != 1 {
+				t.Fatalf("?%s=%s: planned %d cells (%v), want 1", f.Flag, first, len(cells), err)
+			}
+			r := runSweep(t, s.Addr(), "/run/campaign?"+q.Encode())
+			rep, err := report.Decode(r.report)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Contains(rep.Params, report.Param{Name: f.Param, Value: first}) {
+				t.Errorf("?%s=%s: report params %v lack %s=%s", f.Flag, first, rep.Params, f.Param, first)
+			}
+			m := rep.Section("matrix")
+			if len(m.Rows) != 1 {
+				t.Fatalf("?%s=%s: %d matrix rows, want 1", f.Flag, first, len(m.Rows))
+			}
+			if col := slices.Index(m.HeaderNames(), a.Column); col >= 0 {
+				if got := m.Rows[0][col]; got != first {
+					t.Errorf("?%s=%s: matrix %s column holds %v", f.Flag, first, a.Column, got)
+				}
+			} else if first != a.Default {
+				t.Errorf("?%s=%s: matrix dropped the %s column for a non-default key", f.Flag, first, a.Column)
+			}
+		}
 	}
 }
