@@ -4,6 +4,7 @@ import (
 	"net/netip"
 	"testing"
 
+	"crosslayer/internal/dnssrv"
 	"crosslayer/internal/dnswire"
 	"crosslayer/internal/engine"
 	"crosslayer/internal/netsim"
@@ -113,6 +114,39 @@ func TestSteadyStateSendZeroAllocs(t *testing.T) {
 	}
 	if sink == 0 {
 		t.Fatal("payloads never delivered")
+	}
+}
+
+// TestAuthoritativeMemoHitZeroAllocs pins the nameserver's memoized
+// UDP path: once a query is memoized, answering a byte-identical repeat
+// — receive, memo lookup, RRL check, SendUDP of the stored bytes, and
+// delivery back to the client — must not allocate. Flood-style probes
+// (the RRL burst, SadDNS's muting flood) are almost all such repeats.
+func TestAuthoritativeMemoHitZeroAllocs(t *testing.T) {
+	cfg := dnssrv.DefaultConfig()
+	cfg.RateLimit = true
+	cfg.PadAnswersTo = 1300
+	s := scenario.New(scenario.Config{Seed: 42, ServerCfg: cfg})
+	q := dnswire.NewQuery(0x1234, "www.vict.im.", dnswire.TypeA)
+	q.SetEDNS(4096, false)
+	wire, err := q.Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	replies := 0
+	port := s.Attacker.BindUDP(0, func(netsim.Datagram) { replies++ })
+	round := func() {
+		s.Attacker.SendUDP(port, scenario.NSIP, 53, wire)
+		s.Net.Run()
+	}
+	for i := 0; i < 10; i++ {
+		round() // memoize the response, warm pools and freelists
+	}
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Fatalf("memoized authoritative answer: %v allocs/op, want 0", allocs)
+	}
+	if replies == 0 || s.NS.Responses != uint64(replies) {
+		t.Fatalf("%d replies for %d responses", replies, s.NS.Responses)
 	}
 }
 

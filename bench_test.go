@@ -16,6 +16,7 @@ import (
 	"net/netip"
 	"runtime"
 	"testing"
+	"time"
 
 	"crosslayer"
 	"crosslayer/internal/apps"
@@ -26,6 +27,7 @@ import (
 	"crosslayer/internal/dnswire"
 	"crosslayer/internal/ipfrag"
 	"crosslayer/internal/measure"
+	"crosslayer/internal/netsim"
 	"crosslayer/internal/packet"
 	"crosslayer/internal/report"
 	"crosslayer/internal/scenario"
@@ -460,6 +462,38 @@ func BenchmarkSadDNSPortScanWindow(b *testing.B) {
 		}
 		s.Attacker.SendUDP(777, scenario.ResolverIP, 700, []byte("verify"))
 		s.Net.Run()
+	}
+}
+
+// BenchmarkAuthoritativeBurst measures one §5.2.2-style burst: 400
+// identical queries against the victim nameserver, once without RRL
+// and once with a 100 qps limit that drops three quarters of them.
+// After the first response every query is a memo hit.
+func BenchmarkAuthoritativeBurst(b *testing.B) {
+	for _, rrl := range []bool{false, true} {
+		b.Run(fmt.Sprintf("rrl=%v", rrl), func(b *testing.B) {
+			cfg := dnssrv.DefaultConfig()
+			cfg.RateLimit, cfg.RateLimitQPS = rrl, 100
+			s := scenario.New(scenario.Config{Seed: 11, ServerCfg: cfg})
+			q := dnswire.NewQuery(0x4242, "www.vict.im.", dnswire.TypeA)
+			q.SetEDNS(4096, false)
+			wire, err := q.Pack()
+			if err != nil {
+				b.Fatal(err)
+			}
+			port := s.Attacker.BindUDP(0, func(netsim.Datagram) {})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for k := 0; k < 400; k++ {
+					s.Attacker.SendUDP(port, scenario.NSIP, 53, wire)
+				}
+				s.Net.RunFor(time.Second)
+			}
+			if s.NS.Queries != uint64(400*b.N) {
+				b.Fatalf("%d queries served, want %d", s.NS.Queries, 400*b.N)
+			}
+		})
 	}
 }
 

@@ -234,6 +234,24 @@ func TestTCPNeverTruncates(t *testing.T) {
 	}
 }
 
+// TestANYOrderDeterministic requires every ANY lookup to return the
+// same order, including RRset types that share an ordering rank (MX
+// and NAPTR at the vict.im apex): the zone's RRsets live in a map, and
+// both the response memo and FragDNS byte prediction rely on a rebuilt
+// response being identical.
+func TestANYOrderDeterministic(t *testing.T) {
+	z := scenario.BuildVictimZone(false)
+	first, _ := z.Lookup("vict.im.", dnswire.TypeANY)
+	for i := 0; i < 50; i++ {
+		rrs, _ := z.Lookup("vict.im.", dnswire.TypeANY)
+		for k := range rrs {
+			if rrs[k] != first[k] {
+				t.Fatalf("lookup %d: answer %d is %v, first lookup had %v", i, k, rrs[k].Type, first[k].Type)
+			}
+		}
+	}
+}
+
 func TestZoneLookupSemantics(t *testing.T) {
 	z := scenario.BuildVictimZone(false)
 	if rrs, ok := z.Lookup("WWW.VICT.IM.", dnswire.TypeA); !ok || len(rrs) != 1 {

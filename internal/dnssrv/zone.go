@@ -3,6 +3,14 @@
 // handling, padding for the fragmentation experiments, and optional
 // answer-order randomisation), response-rate limiting (RRL — the
 // muting lever SadDNS abuses), and EDNS-size/truncation handling.
+//
+// The UDP path memoizes its last response: a query byte-identical to
+// the previous answered one, under an unchanged config, zone set and
+// answering zone, is answered with the stored bytes without being
+// parsed or rebuilt. Floods of one query (the RRL burst test, SadDNS's
+// muting flood) are almost entirely such repeats. The memo is bypassed
+// while an observation hook is set or answer order is randomised, and
+// TCP and session responses are always rebuilt.
 package dnssrv
 
 import (
@@ -27,6 +35,9 @@ type Zone struct {
 	Signed bool
 	rrsets map[rrKey][]*dnswire.RR
 	names  map[string]bool
+	// gen counts Add calls, so a memoized response built from this
+	// zone can tell whether the records changed since.
+	gen uint64
 }
 
 // NewZone creates an empty zone rooted at origin.
@@ -40,6 +51,7 @@ func NewZone(origin string) *Zone {
 
 // Add inserts records; names must be inside the zone.
 func (z *Zone) Add(rrs ...*dnswire.RR) *Zone {
+	z.gen++
 	for _, rr := range rrs {
 		name := dnswire.CanonicalName(rr.Name)
 		if !dnswire.InBailiwick(name, z.Origin) {
@@ -78,7 +90,12 @@ func (z *Zone) Lookup(name string, typ dnswire.Type) (answers []*dnswire.RR, exi
 				keys = append(keys, k)
 			}
 		}
-		sort.Slice(keys, func(i, j int) bool { return anyOrder(keys[i].typ) < anyOrder(keys[j].typ) })
+		// Map iteration order is random: break anyOrder ties by type
+		// code so every call returns the same order.
+		sort.Slice(keys, func(i, j int) bool {
+			oi, oj := anyOrder(keys[i].typ), anyOrder(keys[j].typ)
+			return oi < oj || oi == oj && keys[i].typ < keys[j].typ
+		})
 		for _, k := range keys {
 			answers = append(answers, z.rrsets[k]...)
 		}

@@ -332,6 +332,9 @@ func TestServeEndpoints(t *testing.T) {
 // not allocate — cache-hit sweeps stream one event per shard and the
 // serve path should add no per-event garbage on top.
 func TestEventEncoderSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items, so pooled encoders allocate")
+	}
 	enc := newEventEncoder()
 	ev := streamEvent{Event: "progress", Dataset: "campaign", DoneShards: 12, TotalShards: 360, Items: 360}
 	// Warm the buffer to its steady-state capacity.
