@@ -3,6 +3,7 @@ package crosslayer_test
 import (
 	"net/netip"
 	"testing"
+	"time"
 
 	"crosslayer/internal/dnssrv"
 	"crosslayer/internal/dnswire"
@@ -11,6 +12,7 @@ import (
 	"crosslayer/internal/packet"
 	"crosslayer/internal/resolver"
 	"crosslayer/internal/scenario"
+	"crosslayer/internal/sim"
 )
 
 // These tests pin the zero-allocation contract of the trial hot path:
@@ -116,6 +118,85 @@ func TestSteadyStateSendZeroAllocs(t *testing.T) {
 		t.Fatal("payloads never delivered")
 	}
 }
+
+// TestPortUnreachableZeroAllocs pins the SadDNS side-channel path: a
+// spoofed probe and a verification probe to closed resolver ports, the
+// two ICMP port-unreachable errors they draw (quoted into the host's
+// scratch buffer, serialized into pooled buffers, decoded into the
+// receiver's own message struct, payloads recycled after the
+// handlers), and the attacker's observer reading the verification
+// error must not allocate once warmed. The scan's bursts are almost
+// all such errors.
+func TestPortUnreachableZeroAllocs(t *testing.T) {
+	s := scenario.New(scenario.Config{Seed: 42})
+	// Answer every probe so each round draws both errors; the rate
+	// limit itself is not what this test measures.
+	s.ResolverHost.Cfg.ICMPLimitMode = netsim.ICMPLimitNone
+	errs := 0
+	s.Attacker.OnICMP(func(src netip.Addr, msg *packet.ICMP) {
+		if src == scenario.ResolverIP && msg.IsPortUnreachable() {
+			errs++
+		}
+	})
+	probe, verify := []byte("probe"), []byte("verify")
+	round := func() {
+		s.Attacker.SendUDPSpoofed(scenario.NSIP, 53, scenario.ResolverIP, 1000, probe)
+		s.Attacker.SendUDP(777, scenario.ResolverIP, 1001, verify)
+		s.Net.Run()
+	}
+	for i := 0; i < 10; i++ {
+		round() // warm the quote scratch, wire pool and freelists
+	}
+	sent := s.ResolverHost.ICMPSent
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Fatalf("closed-port probe to ICMP error to observer: %v allocs/op, want 0", allocs)
+	}
+	rounds := (s.ResolverHost.ICMPSent - sent) / 2
+	if rounds == 0 || uint64(errs) != 10+rounds {
+		t.Fatalf("observer saw %d port-unreachable errors for %d rounds", errs, 10+rounds)
+	}
+}
+
+// TestFloodBucketZeroAllocs pins the same-instant event queue: once a
+// flood-sized burst has warmed the event freelist, scheduling 4096
+// events at one timestamp and draining them must not allocate, however
+// the freed timestamp buckets are handed out. Beside the burst, each
+// round keeps 63 single-event timestamps in flight, scheduled so that
+// the bucket that carried the last burst is passed on to another
+// timestamp and the burst lands in a bucket that carried one event —
+// the rotation a busy simulation's freelist goes through.
+func TestFloodBucketZeroAllocs(t *testing.T) {
+	const burst, others = 4096, 63
+	c := sim.NewClock(1)
+	act := &countAction{}
+	flood := func() {
+		base := c.Now()
+		for i := 0; i < burst; i++ {
+			c.AtAction(base+time.Millisecond, act)
+		}
+		// Latest first: with the freelist handing back the most
+		// recently drained bucket first, this moves every bucket one
+		// timestamp later per round.
+		for k := others; k >= 1; k-- {
+			c.AtAction(base+time.Duration(1+k)*time.Millisecond, act)
+		}
+		c.Run()
+	}
+	for i := 0; i < 3; i++ {
+		flood()
+	}
+	if allocs := testing.AllocsPerRun(20, flood); allocs != 0 {
+		t.Fatalf("scheduling and draining a %d-event burst: %v allocs/op, want 0", burst, allocs)
+	}
+	if want := (3 + 21) * (burst + others); act.n != want {
+		t.Fatalf("fired %d events, want %d", act.n, want)
+	}
+}
+
+// countAction is a pre-allocated sim.Action counting its firings.
+type countAction struct{ n int }
+
+func (a *countAction) Fire() { a.n++ }
 
 // TestAuthoritativeMemoHitZeroAllocs pins the nameserver's memoized
 // UDP path: once a query is memoized, answering a byte-identical repeat

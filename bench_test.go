@@ -161,9 +161,12 @@ func BenchmarkTable6Comparison(b *testing.B) {
 // iteration: every method and scalar defense (lattice rank 1) against
 // the web victim on the BIND profile over the direct path (15 cells,
 // one trial each) — the cost profile of the matrix's dominant cell
-// kinds without the full cross-product sweep.
+// kinds without the full cross-product sweep. pkts/op, the attacker
+// packets summed over the slice's cells, is the hardware-independent
+// work counter beside the timing.
 func BenchmarkCampaign(b *testing.B) {
 	b.ReportAllocs()
+	pkts := 0.0
 	for i := 0; i < b.N; i++ {
 		res, err := campaign.Run(campaign.Config{
 			Exec: measure.Config{Seed: int64(i)},
@@ -179,7 +182,11 @@ func BenchmarkCampaign(b *testing.B) {
 		if len(res) != 15 {
 			b.Fatalf("%d cells", len(res))
 		}
+		for _, c := range res {
+			pkts += c.Packets.Mean() * float64(c.Packets.Len())
+		}
 	}
+	b.ReportMetric(pkts/float64(b.N), "pkts/op")
 }
 
 // BenchmarkCampaignLattice measures the defense-stacking cell kinds:

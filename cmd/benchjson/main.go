@@ -1,7 +1,8 @@
 // Command benchjson converts `go test -bench` output on stdin into a
 // JSON document on stdout mapping each benchmark to its ns/op (and,
 // when -benchmem or b.ReportAllocs() provided them, B/op and
-// allocs/op) — the machine-readable perf record CI uploads as
+// allocs/op, plus any b.ReportMetric work counters such as pkts/op)
+// — the machine-readable perf record CI uploads as
 // BENCH_ci.json so the repository accumulates a benchmark trajectory
 // across commits.
 //
@@ -21,19 +22,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"regexp"
 	"strconv"
 	"strings"
 	"text/tabwriter"
 )
-
-// benchLine matches one benchmark result line, e.g.
-//
-//	BenchmarkCampaign-8   1   123456789 ns/op   512 B/op   7 allocs/op
-//
-// The B/op and allocs/op groups are optional: only benchmarks that
-// call b.ReportAllocs() (or runs under -benchmem) emit them.
-var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)\s+([0-9.]+) ns/op(?:\s+([0-9.]+) B/op\s+(\d+) allocs/op)?`)
 
 // Result is one parsed benchmark measurement.
 type Result struct {
@@ -49,32 +41,54 @@ type Result struct {
 	// encoded as 0).
 	BytesPerOp  float64 `json:"bytes_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
+	// Metrics holds the b.ReportMetric values by unit (e.g.
+	// "pkts/op"): hardware-independent work counters a benchmark
+	// reports beside its timings.
+	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
-// Parse extracts benchmark results from go-test bench output.
+// Parse extracts benchmark results from go-test bench output. A result
+// line is the benchmark name, the iteration count, then value/unit
+// pairs, e.g.
+//
+//	BenchmarkCampaign-8   1   123456789 ns/op   5320 pkts/op   512 B/op   7 allocs/op
+//
+// ns/op comes first; B/op and allocs/op appear only for benchmarks
+// that call b.ReportAllocs() (or runs under -benchmem); every other
+// unit is a b.ReportMetric value, which the testing package prints
+// between ns/op and B/op.
 func Parse(r *bufio.Scanner) ([]Result, error) {
 	var out []Result
 	for r.Scan() {
-		m := benchLine.FindStringSubmatch(strings.TrimSpace(r.Text()))
-		if m == nil {
+		f := strings.Fields(r.Text())
+		if len(f) < 4 || !strings.HasPrefix(f[0], "Benchmark") || f[3] != "ns/op" {
 			continue
 		}
-		iters, err := strconv.Atoi(m[2])
+		iters, err := strconv.Atoi(f[1])
 		if err != nil {
-			return nil, fmt.Errorf("benchjson: bad iteration count in %q: %w", r.Text(), err)
+			continue // not a result line
 		}
-		ns, err := strconv.ParseFloat(m[3], 64)
-		if err != nil {
-			return nil, fmt.Errorf("benchjson: bad ns/op in %q: %w", r.Text(), err)
+		res := Result{Name: stripProcs(f[0]), Iterations: iters, BytesPerOp: -1, AllocsPerOp: -1}
+		if len(f)%2 != 0 {
+			return nil, fmt.Errorf("benchjson: unpaired value/unit in %q", r.Text())
 		}
-		res := Result{Name: stripProcs(m[1]), Iterations: iters, NsPerOp: ns,
-			BytesPerOp: -1, AllocsPerOp: -1}
-		if m[4] != "" {
-			if res.BytesPerOp, err = strconv.ParseFloat(m[4], 64); err != nil {
-				return nil, fmt.Errorf("benchjson: bad B/op in %q: %w", r.Text(), err)
+		for k := 2; k < len(f); k += 2 {
+			v, err := strconv.ParseFloat(f[k], 64)
+			if err != nil {
+				return nil, fmt.Errorf("benchjson: bad %s value in %q: %w", f[k+1], r.Text(), err)
 			}
-			if res.AllocsPerOp, err = strconv.ParseFloat(m[5], 64); err != nil {
-				return nil, fmt.Errorf("benchjson: bad allocs/op in %q: %w", r.Text(), err)
+			switch unit := f[k+1]; unit {
+			case "ns/op":
+				res.NsPerOp = v
+			case "B/op":
+				res.BytesPerOp = v
+			case "allocs/op":
+				res.AllocsPerOp = v
+			default:
+				if res.Metrics == nil {
+					res.Metrics = make(map[string]float64)
+				}
+				res.Metrics[unit] = v
 			}
 		}
 		out = append(out, res)
@@ -163,11 +177,12 @@ func readRecord(path string) ([]Result, error) {
 	// bytes_per_op/allocs_per_op keys at all; pointer fields keep that
 	// distinguishable from a genuine 0 so absence maps to -1.
 	type rec struct {
-		Name        string   `json:"name"`
-		Iterations  int      `json:"iterations"`
-		NsPerOp     float64  `json:"ns_per_op"`
-		BytesPerOp  *float64 `json:"bytes_per_op"`
-		AllocsPerOp *float64 `json:"allocs_per_op"`
+		Name        string             `json:"name"`
+		Iterations  int                `json:"iterations"`
+		NsPerOp     float64            `json:"ns_per_op"`
+		BytesPerOp  *float64           `json:"bytes_per_op"`
+		AllocsPerOp *float64           `json:"allocs_per_op"`
+		Metrics     map[string]float64 `json:"metrics"`
 	}
 	var raw []rec
 	if err := json.Unmarshal(data, &raw); err != nil {
@@ -176,7 +191,7 @@ func readRecord(path string) ([]Result, error) {
 	out := make([]Result, len(raw))
 	for i, r := range raw {
 		out[i] = Result{Name: r.Name, Iterations: r.Iterations, NsPerOp: r.NsPerOp,
-			BytesPerOp: -1, AllocsPerOp: -1}
+			BytesPerOp: -1, AllocsPerOp: -1, Metrics: r.Metrics}
 		if r.BytesPerOp != nil {
 			out[i].BytesPerOp = *r.BytesPerOp
 		}

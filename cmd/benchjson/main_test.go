@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -29,9 +30,33 @@ ok  	crosslayer	2.345s
 		t.Fatalf("parsed %d results, want %d: %+v", len(got), len(want), got)
 	}
 	for i := range want {
-		if got[i] != want[i] {
+		if !reflect.DeepEqual(got[i], want[i]) {
 			t.Errorf("result %d = %+v, want %+v", i, got[i], want[i])
 		}
+	}
+}
+
+// TestParseReportMetric pins b.ReportMetric columns: the testing
+// package prints them between ns/op and B/op, and they must neither
+// hide the memory columns nor be lost themselves.
+func TestParseReportMetric(t *testing.T) {
+	in := "BenchmarkCampaign-2   \t      14\t 174798281 ns/op\t      5320 pkts/op\t  30502537 B/op\t  209742 allocs/op\n" +
+		"BenchmarkX-2   \t 3\t 100 ns/op\t 1.5 MB/s\t 2.25 pkts/op\n"
+	got, err := Parse(bufio.NewScanner(strings.NewReader(in)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Result{
+		{Name: "BenchmarkCampaign", Iterations: 14, NsPerOp: 174798281, BytesPerOp: 30502537, AllocsPerOp: 209742,
+			Metrics: map[string]float64{"pkts/op": 5320}},
+		{Name: "BenchmarkX", Iterations: 3, NsPerOp: 100, BytesPerOp: -1, AllocsPerOp: -1,
+			Metrics: map[string]float64{"MB/s": 1.5, "pkts/op": 2.25}},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("parsed %+v, want %+v", got, want)
+	}
+	if _, err := Parse(bufio.NewScanner(strings.NewReader("BenchmarkY-2 1 100 ns/op 7\n"))); err == nil {
+		t.Fatal("accepted a value without a unit")
 	}
 }
 

@@ -102,7 +102,12 @@ type Datagram struct {
 // UDPHandler consumes datagrams delivered to a bound port.
 type UDPHandler func(dg Datagram)
 
-// ICMPHandler observes ICMP messages delivered to the host.
+// ICMPHandler observes ICMP messages delivered to the host. Like
+// Datagram.Payload, the message is only valid for the duration of the
+// call: the host decodes every message into the same struct, and the
+// network recycles the buffer msg.Payload aliases once the handler
+// returns. A handler that needs a field or the quoted bytes later must
+// copy them.
 type ICMPHandler func(src netip.Addr, msg *packet.ICMP)
 
 // Host is one simulated machine.
@@ -122,6 +127,12 @@ type Host struct {
 	onRaw        func(*packet.IPv4)
 	frag         *ipfrag.Cache
 	pmtu         map[netip.Addr]int
+
+	// icmpIn receives every decoded ICMP message, and quote is the
+	// scratch buffer each port-unreachable error is quoted into. Being
+	// host-owned, neither costs an allocation per error.
+	icmpIn packet.ICMP
+	quote  []byte
 
 	ipidGlobal  uint16
 	ipidPerDest map[netip.Addr]uint16
@@ -191,9 +202,9 @@ func (h *Host) snapshot() {
 // reset rewinds the host to its snapshot: config and port bindings
 // restored, ephemeral state (sessions, defrag cache, learned PMTUs,
 // IPID counters, ICMP buckets) cleared, counters zeroed, and the random
-// stream re-derived from the (already reset) clock — called in host
-// creation order by Network.Reset, this draws exactly the streams a
-// fresh build would.
+// stream reseeded in place from the (already reset) clock — called in
+// host creation order by Network.Reset, this draws exactly the streams
+// a fresh build would, without allocating a new source per host.
 func (h *Host) reset() {
 	s := h.snap
 	if s == nil {
@@ -232,7 +243,7 @@ func (h *Host) reset() {
 	h.Sent, h.Received = 0, 0
 	h.ICMPSent, h.ICMPSuppressed = 0, 0
 	h.UDPDeliveredLocal = 0
-	h.rng = h.net.Clock.NewRand()
+	h.net.Clock.Reseed(h.rng)
 	h.ipidGlobal = uint16(h.rng.Uint32())
 }
 
@@ -468,8 +479,8 @@ func (h *Host) receiveUDP(ip *packet.IPv4) {
 }
 
 func (h *Host) receiveICMP(ip *packet.IPv4) {
-	msg, err := packet.DecodeICMP(ip.Payload)
-	if err != nil {
+	msg := &h.icmpIn
+	if err := packet.DecodeICMPInto(msg, ip.Payload); err != nil {
 		return
 	}
 	switch {
@@ -505,10 +516,13 @@ func (h *Host) maybeSendPortUnreachable(ip *packet.IPv4) {
 		h.ICMPSuppressed++
 		return
 	}
-	quote, err := packet.QuoteDatagram(ip)
+	// SendICMP copies the quote into a pooled buffer before returning,
+	// so the scratch slice is free again for the next error.
+	quote, err := packet.AppendQuote(h.quote[:0], ip)
 	if err != nil {
 		return
 	}
+	h.quote = quote
 	h.ICMPSent++
 	h.SendICMP(ip.Src, &packet.ICMP{
 		Type: packet.ICMPTypeDestUnreach, Code: packet.ICMPCodePortUnreach, Payload: quote,

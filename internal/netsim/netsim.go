@@ -368,11 +368,11 @@ func (n *Network) send(from *Host, ip *packet.IPv4, owned bool) {
 // the delivery node go back to their freelists only on paths where no
 // reference can outlive the call — a plain (non-fragment) UDP or ICMP
 // delivery to a host without a raw-capture hook, or a routing drop
-// nobody observed. Fragments are retained by the defrag cache,
-// OnRaw/Interceptor hooks may keep the *IPv4, and ICMP handlers may
-// keep the decoded message (which aliases the payload), so those
-// paths leak to the GC — recycling is an optimisation, never an
-// obligation.
+// nobody observed. UDP and ICMP handlers may not keep what they are
+// handed past their return (see Datagram and ICMPHandler), so their
+// payloads are recycled. Fragments are retained by the defrag cache
+// and OnRaw/Interceptor hooks may keep the *IPv4, so those paths leak
+// to the GC — recycling is an optimisation, never an obligation.
 func (d *delivery) Fire() {
 	n := d.n
 	ip := &d.ip
@@ -383,7 +383,7 @@ func (d *delivery) Fire() {
 			n.Trace(TraceEvent{At: n.Clock.Now(), From: ip.Src, To: ip.Dst, Proto: ip.Protocol, Size: len(ip.Payload)})
 		}
 		safe := dst.onRaw == nil && !ip.IsFragment()
-		recyclePayload := safe && ip.Protocol == packet.ProtoUDP
+		recyclePayload := safe && (ip.Protocol == packet.ProtoUDP || ip.Protocol == packet.ProtoICMP)
 		dst.receive(ip)
 		if recyclePayload {
 			n.wirep.Put(ip.Payload)

@@ -70,13 +70,24 @@ func (ic *ICMP) Serialize(dst []byte) ([]byte, error) {
 
 // DecodeICMP parses an ICMP message, verifying its checksum.
 func DecodeICMP(data []byte) (*ICMP, error) {
+	ic := &ICMP{}
+	if err := DecodeICMPInto(ic, data); err != nil {
+		return nil, err
+	}
+	return ic, nil
+}
+
+// DecodeICMPInto is DecodeICMP into a caller-provided struct, sparing
+// the per-message heap allocation on the receive path. On success every
+// field of ic is overwritten; ic.Payload aliases data.
+func DecodeICMPInto(ic *ICMP, data []byte) error {
 	if len(data) < ICMPHeaderLen {
-		return nil, fmt.Errorf("%w: ICMP header needs %d bytes, have %d", ErrTruncated, ICMPHeaderLen, len(data))
+		return fmt.Errorf("%w: ICMP header needs %d bytes, have %d", ErrTruncated, ICMPHeaderLen, len(data))
 	}
 	if Checksum(data, 0) != 0 {
-		return nil, fmt.Errorf("%w: ICMP", ErrBadChecksum)
+		return fmt.Errorf("%w: ICMP", ErrBadChecksum)
 	}
-	ic := &ICMP{
+	*ic = ICMP{
 		Type:    data[0],
 		Code:    data[1],
 		Payload: data[ICMPHeaderLen:],
@@ -88,7 +99,7 @@ func DecodeICMP(data []byte) (*ICMP, error) {
 	case ICMPTypeDestUnreach:
 		ic.MTU = binary.BigEndian.Uint16(data[6:])
 	}
-	return ic, nil
+	return nil
 }
 
 // QuoteDatagram builds the ICMP error payload quoting an offending
@@ -96,10 +107,15 @@ func DecodeICMP(data []byte) (*ICMP, error) {
 // UDP covers the full UDP header — enough for the receiver to identify
 // the socket and, crucially for FragDNS, for a nameserver to match the
 // quoted query when validating a PTB).
-func QuoteDatagram(ip *IPv4) ([]byte, error) {
+func QuoteDatagram(ip *IPv4) ([]byte, error) { return AppendQuote(nil, ip) }
+
+// AppendQuote is QuoteDatagram appending to dst, so a host answering a
+// flood of closed-port probes can quote every one into the same
+// reused scratch buffer.
+func AppendQuote(dst []byte, ip *IPv4) ([]byte, error) {
 	quote := *ip
 	if len(quote.Payload) > 8 {
 		quote.Payload = quote.Payload[:8]
 	}
-	return quote.Serialize(nil)
+	return quote.Serialize(dst)
 }

@@ -194,6 +194,48 @@ func TestQuoteDatagramTruncatesTo8PayloadBytes(t *testing.T) {
 	}
 }
 
+// TestAppendQuoteMatchesQuoteDatagram pins the scratch-buffer quote a
+// host builds every port-unreachable error in: appending into a reused
+// buffer still holding the previous (longer or shorter) quote must
+// yield exactly QuoteDatagram's bytes.
+func TestAppendQuoteMatchesQuoteDatagram(t *testing.T) {
+	scratch := bytes.Repeat([]byte{0xa5}, 64)
+	for _, tc := range []struct {
+		name string
+		ip   IPv4
+	}{
+		{"udp long payload", IPv4{ID: 3, TTL: 64, Protocol: ProtoUDP, Src: ipA, Dst: ipB, Payload: bytes.Repeat([]byte{1}, 100)}},
+		{"udp exactly 8", IPv4{ID: 4, DF: true, Protocol: ProtoUDP, Src: ipB, Dst: ipA, Payload: []byte("12345678")}},
+		{"short payload", IPv4{ID: 5, TOS: 0x10, TTL: 3, Protocol: ProtoUDP, Src: ipA, Dst: ipB, Payload: []byte("abc")}},
+		{"empty payload", IPv4{ID: 6, Protocol: ProtoICMP, Src: ipA, Dst: ipB}},
+		{"fragment", IPv4{ID: 7, MF: true, FragOff: 185, Protocol: ProtoUDP, Src: ipA, Dst: ipB, Payload: make([]byte, 16)}},
+	} {
+		want, err := QuoteDatagram(&tc.ip)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		got, err := AppendQuote(scratch[:0], &tc.ip)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: AppendQuote %x, QuoteDatagram %x", tc.name, got, want)
+		}
+		if &got[0] != &scratch[0] {
+			t.Fatalf("%s: AppendQuote reallocated a buffer with room to spare", tc.name)
+		}
+		scratch = got
+	}
+	// An invalid datagram fails through both.
+	bad := IPv4{Protocol: ProtoUDP, Src: ipA}
+	if _, err := AppendQuote(scratch[:0], &bad); err == nil {
+		t.Fatal("AppendQuote accepted a datagram without an IPv4 destination")
+	}
+	if _, err := QuoteDatagram(&bad); err == nil {
+		t.Fatal("QuoteDatagram accepted a datagram without an IPv4 destination")
+	}
+}
+
 func TestChecksumProperties(t *testing.T) {
 	// Verifying a buffer that embeds its own checksum yields 0.
 	f := func(data []byte) bool {

@@ -10,7 +10,6 @@ import (
 	"container/heap"
 	"fmt"
 	"math/rand"
-	"sort"
 	"time"
 )
 
@@ -24,24 +23,28 @@ type Action interface {
 }
 
 // Event is a scheduled callback: either a plain closure (fn) or a
-// pre-allocated Action (act). Exactly one of the two is set.
+// pre-allocated Action (act). Exactly one of the two is set. next
+// links the event to its successor in its timestamp's bucket.
 type event struct {
-	at  time.Duration
-	fn  func()
-	act Action
+	at   time.Duration
+	fn   func()
+	act  Action
+	next *event
 }
 
-// bucket holds every event scheduled for one timestamp, in insertion
-// order. The scheduler's contract is (time, sequence) ordering; within
-// one timestamp that is exactly FIFO, so a bucket needs no per-event
-// sequence numbers — and draining a same-time burst (the paper's
-// floods park tens of thousands of deliveries at now+latency) costs
-// O(1) per event instead of an O(log n) heap sift with comparison
-// calls.
+// bucket holds every event scheduled for one timestamp as an intrusive
+// FIFO list, in insertion order. The scheduler's contract is (time,
+// sequence) ordering; within one timestamp that is exactly FIFO, so a
+// bucket needs no per-event sequence numbers — and draining a
+// same-time burst (the paper's floods park tens of thousands of
+// deliveries at now+latency) costs O(1) per event instead of an
+// O(log n) heap sift with comparison calls. Linking the events through
+// their own nodes means a bucket carries no capacity: a flood-sized
+// burst never has to regrow a slice in whichever bucket the next
+// timestamp happens to take from the freelist.
 type bucket struct {
-	at   time.Duration
-	evs  []*event
-	head int
+	at         time.Duration
+	head, tail *event
 }
 
 // bucketQueue is a min-heap of buckets by timestamp. Timestamps are
@@ -64,9 +67,9 @@ func (q *bucketQueue) Pop() interface{} {
 
 // EventPool is a freelist of event nodes and timestamp buckets that
 // can outlive a single Clock: a worker that builds many clocks over
-// its lifetime hands the same pool to each so the nodes (and the large
-// burst-sized bucket slices) warmed up by one simulation are reused by
-// the next. Single-goroutine, like the Clock itself.
+// its lifetime hands the same pool to each so the nodes warmed up by
+// one simulation are reused by the next. Single-goroutine, like the
+// Clock itself.
 type EventPool struct {
 	free        []*event
 	freeBuckets []*bucket
@@ -82,13 +85,18 @@ func (p *EventPool) getBucket(at time.Duration) *bucket {
 		b = &bucket{}
 	}
 	b.at = at
-	b.evs = b.evs[:0]
-	b.head = 0
 	return b
 }
 
 func (p *EventPool) putBucket(b *bucket) {
+	b.head, b.tail = nil, nil
 	p.freeBuckets = append(p.freeBuckets, b)
+}
+
+// putEvent clears e's references and returns it to the freelist.
+func (p *EventPool) putEvent(e *event) {
+	e.fn, e.act, e.next = nil, nil, nil
+	p.free = append(p.free, e)
 }
 
 // Retained reports how many nodes the pool currently holds: free
@@ -98,31 +106,26 @@ func (p *EventPool) Retained() int { return len(p.free) + len(p.freeBuckets) }
 // Trim drops pooled nodes until at most max event nodes and at most
 // max buckets remain — the retention bound a resident process applies
 // between jobs, mirroring pool.Wire.Trim: a sweep that briefly parked
-// a flood burst's worth of nodes does not pin them forever. Buckets
-// with the largest warmed event slices are kept preferentially (they
-// are the expensive ones to re-grow). Trim(0) empties the pool; it
-// never affects correctness, only what the next simulation must
-// re-allocate.
+// a flood burst's worth of nodes does not pin them forever. Nodes are
+// uniform-sized, so a plain truncation is the whole policy. Trim(0)
+// empties the pool; it never affects correctness, only what the next
+// simulation must re-allocate.
 func (p *EventPool) Trim(max int) {
+	p.free = trim(p.free, max)
+	p.freeBuckets = trim(p.freeBuckets, max)
+}
+
+// trim truncates a freelist to at most max entries, clearing the
+// dropped slots so the nodes can be collected.
+func trim[T any](l []*T, max int) []*T {
 	if max < 0 {
 		max = 0
 	}
-	for i := max; i < len(p.free); i++ {
-		p.free[i] = nil
+	if len(l) <= max {
+		return l
 	}
-	if len(p.free) > max {
-		p.free = p.free[:max]
-	}
-	if len(p.freeBuckets) > max {
-		// Keep the buckets with the largest burst capacity.
-		sort.Slice(p.freeBuckets, func(i, j int) bool {
-			return cap(p.freeBuckets[i].evs) > cap(p.freeBuckets[j].evs)
-		})
-		for i := max; i < len(p.freeBuckets); i++ {
-			p.freeBuckets[i] = nil
-		}
-		p.freeBuckets = p.freeBuckets[:max]
-	}
+	clear(l[max:])
+	return l[:max]
 }
 
 // Clock is the discrete-event scheduler. The zero value is not usable;
@@ -165,11 +168,10 @@ func (c *Clock) SetEventPool(p *EventPool) {
 // shared EventPool) keeps its warmed-up nodes.
 func (c *Clock) Reset(seed int64) {
 	for i, b := range c.queue {
-		for j := b.head; j < len(b.evs); j++ {
-			e := b.evs[j]
-			e.fn, e.act = nil, nil
-			b.evs[j] = nil
-			c.pool.free = append(c.pool.free, e)
+		for e := b.head; e != nil; {
+			next := e.next
+			c.pool.putEvent(e)
+			e = next
 		}
 		c.pool.putBucket(b)
 		c.queue[i] = nil
@@ -192,8 +194,21 @@ func (c *Clock) Rand() *rand.Rand { return c.rng }
 // seed space; use one stream per stochastic subsystem so adding events
 // in one subsystem does not perturb another.
 func (c *Clock) NewRand() *rand.Rand {
+	return rand.New(rand.NewSource(c.nextSeed()))
+}
+
+// Reseed rewinds r to the stream NewRand would return at this point,
+// consuming the same draw from the clock's seed space, but in place:
+// reseeding a math/rand source restarts it exactly as a new source
+// with that seed would, without allocating the several-KB state a new
+// source costs. r must come from NewRand (or rand.New over
+// rand.NewSource).
+func (c *Clock) Reseed(r *rand.Rand) { r.Seed(c.nextSeed()) }
+
+// nextSeed draws the seed of the next derived stream.
+func (c *Clock) nextSeed() int64 {
 	c.nextID++
-	return rand.New(rand.NewSource(c.rng.Int63() ^ int64(c.nextID)))
+	return c.rng.Int63() ^ int64(c.nextID)
 }
 
 // SetEventLimit bounds the number of events a single Run/RunUntil may
@@ -223,10 +238,10 @@ func (c *Clock) alloc(t time.Duration) *event {
 	return e
 }
 
-// schedule appends e to the bucket for its timestamp, creating (and
-// heap-inserting) the bucket on first use of that time. Appending is
-// what preserves the global (time, sequence) contract: insertion order
-// within one timestamp IS sequence order.
+// schedule appends e to the tail of the bucket for its timestamp,
+// creating (and heap-inserting) the bucket on first use of that time.
+// Appending is what preserves the global (time, sequence) contract:
+// insertion order within one timestamp IS sequence order.
 func (c *Clock) schedule(e *event) {
 	b := c.byTime[e.at]
 	if b == nil {
@@ -234,7 +249,12 @@ func (c *Clock) schedule(e *event) {
 		c.byTime[e.at] = b
 		heap.Push(&c.queue, b)
 	}
-	b.evs = append(b.evs, e)
+	if b.tail == nil {
+		b.head = e
+	} else {
+		b.tail.next = e
+	}
+	b.tail = e
 	c.pending++
 }
 
@@ -281,10 +301,9 @@ func (c *Clock) Step() bool {
 		return false
 	}
 	b := c.queue[0]
-	e := b.evs[b.head]
-	b.evs[b.head] = nil
-	b.head++
-	if b.head == len(b.evs) {
+	e := b.head
+	b.head = e.next
+	if b.head == nil {
 		// Drained. An event fired later at this same timestamp gets a
 		// fresh bucket; since the old one is already past, time-unique
 		// bucket keys stay intact by removing the map entry first.
@@ -295,8 +314,7 @@ func (c *Clock) Step() bool {
 	c.pending--
 	c.now = e.at
 	fn, act := e.fn, e.act
-	e.fn, e.act = nil, nil
-	c.pool.free = append(c.pool.free, e)
+	c.pool.putEvent(e)
 	if act != nil {
 		act.Fire()
 	} else {

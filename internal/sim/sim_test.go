@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -175,41 +176,144 @@ func TestDeterministicRandStreams(t *testing.T) {
 }
 
 // TestEventPoolTrim pins the retention bound: a pool warmed by a big
-// burst can be trimmed back between jobs, keeping the largest-capacity
-// buckets, and a trimmed pool still serves the next simulation
+// burst can be trimmed back between jobs, event nodes and buckets each
+// to the bound, and a trimmed pool still serves the next simulation
 // correctly.
 func TestEventPoolTrim(t *testing.T) {
 	p := &EventPool{}
+	c := NewClock(1)
+	c.SetEventPool(p)
 	for i := 0; i < 100; i++ {
-		p.free = append(p.free, &event{})
+		c.After(time.Duration(i%4)*time.Millisecond, func() {})
 	}
-	small := &bucket{evs: make([]*event, 0, 2)}
-	big := &bucket{evs: make([]*event, 0, 1024)}
-	p.putBucket(small)
-	p.putBucket(big)
-	if got := p.Retained(); got != 102 {
-		t.Fatalf("Retained %d, want 102", got)
+	c.Run()
+	if got := p.Retained(); got != 104 {
+		t.Fatalf("Retained %d, want 104 (100 events + 4 buckets)", got)
 	}
-	p.Trim(1)
-	if got := p.Retained(); got != 2 {
-		t.Fatalf("post-Trim Retained %d, want 2 (1 event + 1 bucket)", got)
+	p.Trim(200)
+	if got := p.Retained(); got != 104 {
+		t.Fatalf("Trim above the pool size dropped nodes: Retained %d, want 104", got)
 	}
-	if len(p.freeBuckets) != 1 || cap(p.freeBuckets[0].evs) != 1024 {
-		t.Fatal("Trim did not keep the largest-capacity bucket")
+	p.Trim(3)
+	if len(p.free) != 3 || len(p.freeBuckets) != 3 {
+		t.Fatalf("post-Trim pool holds %d events and %d buckets, want 3 of each",
+			len(p.free), len(p.freeBuckets))
 	}
 	p.Trim(0)
 	if p.Retained() != 0 {
 		t.Fatalf("Trim(0) retained %d nodes", p.Retained())
 	}
 	// A trimmed (empty) pool still runs a clock normally.
-	c := NewClock(1)
+	c = NewClock(1)
 	c.SetEventPool(p)
-	fired := 0
+	var order []int
 	for i := 0; i < 10; i++ {
-		c.After(time.Duration(i)*time.Millisecond, func() { fired++ })
+		i := i
+		c.After(time.Duration(i%3)*time.Millisecond, func() { order = append(order, i) })
 	}
 	c.Run()
-	if fired != 10 {
-		t.Fatalf("fired %d/10 events after Trim", fired)
+	want := []int{0, 3, 6, 9, 1, 4, 7, 2, 5, 8}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("trimmed pool ran %v, want %v", order, want)
+	}
+}
+
+// TestSameInstantFIFO pins the intrusive per-timestamp queue: events at
+// one instant fire in schedule order, including events a handler adds
+// at Now() while that instant's bucket is still draining, and a Reset
+// that strikes with a bucket half consumed returns every node to the
+// freelist and leaves a clock that replays exactly like a fresh one.
+func TestSameInstantFIFO(t *testing.T) {
+	// run schedules a burst of five events at 1s whose third handler
+	// adds two more at Now() and one at a later instant; stopAfter > 0
+	// cuts the run short with the event limit.
+	run := func(c *Clock, stopAfter int) []string {
+		var got []string
+		at := time.Second
+		for i := 0; i < 5; i++ {
+			i := i
+			c.At(at, func() {
+				got = append(got, fmt.Sprint("burst", i))
+				if i == 2 {
+					c.At(c.Now(), func() { got = append(got, "nested0") })
+					c.After(0, func() { got = append(got, "nested1") })
+					c.After(time.Millisecond, func() { got = append(got, "later") })
+				}
+			})
+		}
+		c.At(at+time.Millisecond, func() { got = append(got, "next") })
+		c.SetEventLimit(stopAfter)
+		c.Run()
+		c.SetEventLimit(0)
+		return got
+	}
+	want := "[burst0 burst1 burst2 burst3 burst4 nested0 nested1 next later]"
+	c := NewClock(7)
+	if got := fmt.Sprint(run(c, 0)); got != want {
+		t.Fatalf("same-instant order %v, want %v", got, want)
+	}
+
+	// Reset mid-bucket: three of the burst have fired, the rest of the
+	// 1s bucket (plus nested and later events) is still queued.
+	p := &EventPool{}
+	c = NewClock(7)
+	c.SetEventPool(p)
+	if got := run(c, 3); len(got) != 3 {
+		t.Fatalf("limited run fired %d events, want 3", len(got))
+	}
+	queued := c.Pending()
+	if queued != 6 {
+		t.Fatalf("%d events pending mid-bucket, want 6", queued)
+	}
+	free := len(p.free)
+	c.Reset(7)
+	if c.Pending() != 0 || c.Now() != 0 {
+		t.Fatalf("after Reset: %d pending at %v", c.Pending(), c.Now())
+	}
+	if got := len(p.free) - free; got != queued {
+		t.Fatalf("Reset returned %d nodes to the freelist, want %d", got, queued)
+	}
+	for _, e := range p.free {
+		if e.fn != nil || e.act != nil || e.next != nil {
+			t.Fatal("freelist holds an event with live references")
+		}
+	}
+	fresh := NewClock(7)
+	if got, ref := fmt.Sprint(run(c, 0)), fmt.Sprint(run(fresh, 0)); got != ref || got != want {
+		t.Fatalf("reset clock ran %v, fresh clock %v, want %v", got, ref, want)
+	}
+	if c.Rand().Int63() != fresh.Rand().Int63() {
+		t.Fatal("reset clock's random stream diverged from a fresh clock's")
+	}
+}
+
+// TestReseedMatchesNewRand pins Reseed's contract: rewinding an
+// existing stream in place yields exactly the stream NewRand would
+// have returned, and consumes the same draw from the clock.
+func TestReseedMatchesNewRand(t *testing.T) {
+	a, b := NewClock(42), NewClock(42)
+	stale := a.NewRand()
+	// Advance the source and leave a partial Read pending: Seed must
+	// rewind both.
+	for i := 0; i < 10; i++ {
+		stale.Int63()
+	}
+	stale.Read(make([]byte, 3))
+	b.NewRand()
+	a.Reseed(stale)
+	fresh := b.NewRand()
+	got, want := make([]byte, 5), make([]byte, 5)
+	stale.Read(got)
+	fresh.Read(want)
+	if string(got) != string(want) {
+		t.Fatalf("reseeded Read %x, NewRand Read %x", got, want)
+	}
+	for i := 0; i < 100; i++ {
+		if stale.Int63() != fresh.Int63() {
+			t.Fatalf("draw %d: reseeded stream diverged from NewRand", i)
+		}
+	}
+	if a.NewRand().Int63() != b.NewRand().Int63() {
+		t.Fatal("Reseed consumed a different draw from the clock than NewRand")
 	}
 }
