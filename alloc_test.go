@@ -1,6 +1,7 @@
 package crosslayer_test
 
 import (
+	"context"
 	"net/netip"
 	"testing"
 	"time"
@@ -270,20 +271,30 @@ func TestResolverRoundTripZeroAllocs(t *testing.T) {
 }
 
 // TestEngineDispatchAllocs bounds the engine's own per-trial overhead:
-// dispatching trials through the burst executor must cost well under
-// one allocation per trial once the per-job slices are amortized.
+// dispatching trials through the burst executor, by either entry
+// point, must cost well under one allocation per trial once the
+// per-job slices are amortized.
 func TestEngineDispatchAllocs(t *testing.T) {
 	const trials = 1024
 	j := engine.Job{Items: trials, ShardSize: 1, Seed: 1, Parallelism: 1}
-	allocs := testing.AllocsPerRun(10, func() {
-		out := engine.RunWorkers(j, func() *struct{} { return nil },
-			func(_ *struct{}, sh engine.Shard) int { return sh.Start })
-		if len(out) != trials {
-			t.Fatalf("%d results", len(out))
+	for name, dispatch := range map[string]func() ([]int, error){
+		"RunWorkersCtx": func() ([]int, error) {
+			return engine.RunWorkersCtx(context.Background(), j, func() *struct{} { return nil },
+				func(_ *struct{}, sh engine.Shard) int { return sh.Start })
+		},
+		"RunCtx": func() ([]int, error) {
+			return engine.RunCtx(context.Background(), j, func(sh engine.Shard) int { return sh.Start })
+		},
+	} {
+		allocs := testing.AllocsPerRun(10, func() {
+			out, err := dispatch()
+			if err != nil || len(out) != trials {
+				t.Fatalf("%s: %d results, err %v", name, len(out), err)
+			}
+		})
+		if perTrial := allocs / trials; perTrial > 0.1 {
+			t.Fatalf("%s dispatch: %v allocs/trial, want < 0.1", name, perTrial)
 		}
-	})
-	if perTrial := allocs / trials; perTrial > 0.1 {
-		t.Fatalf("engine dispatch: %v allocs/trial, want < 0.1", perTrial)
 	}
 }
 

@@ -309,8 +309,8 @@ func CampaignFlags() []CampaignFlag { return campaign.FilterKeys() }
 func DefaultServerConfig() dnssrv.Config { return dnssrv.DefaultConfig() }
 
 // SweepServerConfig configures a resident sweep server: listen
-// address, cell-cache checkpoint path and interval, pooled-arena
-// retention bound. See the serve package for the wire protocol.
+// address, cell-cache checkpoint path and interval, and lifecycle log.
+// See the serve package for the wire protocol.
 type SweepServerConfig = serve.Config
 
 // SweepServer is the campaign-as-a-service daemon behind xlmeasure

@@ -9,35 +9,29 @@ import "sync"
 // hands a worker out again after the run that used it has fully
 // completed, so cross-run reuse never races.
 //
-// Reuse is invisible in results by the same argument engine.Resettable
-// makes within a run: Reset rewinds the sample slices before every
-// cell, and the wire arena's buffers carry capacity, not state.
+// Reuse is invisible in results for the same reason it is within a
+// run: trialWorker.reset rewinds the sample slices before every cell,
+// and the wire arena's buffers carry capacity, not state.
+//
+// When a run returns its workers, each is trimmed to
+// DefaultMaxArenaBytes of wire-buffer capacity and DefaultMaxPoolNodes
+// clock-event and delivery nodes, so a job that briefly needed big
+// frag-attack buffers or a flood's worth of nodes does not pin them
+// for the lifetime of the server.
 type ArenaPool struct {
-	// MaxArenaBytes bounds the wire-buffer capacity a worker retains
-	// while parked in the pool (largest buffers dropped first); 0
-	// means DefaultMaxArenaBytes. The bound applies when a run returns
-	// its workers, so a job that briefly needed big frag-attack
-	// buffers does not pin them for the lifetime of the server.
-	MaxArenaBytes int
-	// MaxPoolNodes bounds the clock-event and delivery-node freelist
-	// retention of a parked worker the same way (a flood-heavy sweep
-	// parks tens of thousands of nodes); 0 means DefaultMaxPoolNodes.
-	MaxPoolNodes int
-
 	mu   sync.Mutex
 	free []*trialWorker
 }
 
-// DefaultMaxArenaBytes is the per-worker retained-capacity bound used
-// when ArenaPool.MaxArenaBytes is zero: enough to keep the steady-state
-// DNS-sized working set warm, small enough that a fleet of workers
-// stays in cache-friendly territory between jobs.
+// DefaultMaxArenaBytes is the wire-buffer capacity a parked worker
+// retains (largest buffers dropped first): enough to keep the
+// steady-state DNS-sized working set warm, small enough that a fleet
+// of workers stays in cache-friendly territory between jobs.
 const DefaultMaxArenaBytes = 1 << 20
 
-// DefaultMaxPoolNodes is the per-worker retained-node bound (clock
-// events and delivery nodes each) used when ArenaPool.MaxPoolNodes is
-// zero: comfortably above the steady-state working set of a trial,
-// far below what one flood burst can park.
+// DefaultMaxPoolNodes is the number of clock-event and delivery nodes
+// (each) a parked worker retains: comfortably above the steady-state
+// working set of a trial, far below what one flood burst can park.
 const DefaultMaxPoolNodes = 1 << 12
 
 // arenaLease tracks the workers one run borrowed so endRun can return
@@ -51,7 +45,7 @@ type arenaLease struct {
 func (p *ArenaPool) beginRun() *arenaLease { return &arenaLease{pool: p} }
 
 // get borrows a parked worker (or makes a fresh one). Called from
-// engine worker goroutines via RunWorkers' newState hook.
+// engine worker goroutines via RunWorkersCtx's newState hook.
 func (l *arenaLease) get() *trialWorker {
 	l.pool.mu.Lock()
 	var w *trialWorker
@@ -75,22 +69,14 @@ func (l *arenaLease) get() *trialWorker {
 // bounds. Must only run after the engine call that used the lease has
 // returned (all worker goroutines joined).
 func (l *arenaLease) endRun() {
-	maxBytes := l.pool.MaxArenaBytes
-	if maxBytes <= 0 {
-		maxBytes = DefaultMaxArenaBytes
-	}
-	maxNodes := l.pool.MaxPoolNodes
-	if maxNodes <= 0 {
-		maxNodes = DefaultMaxPoolNodes
-	}
 	l.mu.Lock()
 	handed := l.handed
 	l.handed = nil
 	l.mu.Unlock()
 	for _, w := range handed {
-		w.wire.Trim(maxBytes)
-		w.events.Trim(maxNodes)
-		w.deliv.Trim(maxNodes)
+		w.wire.Trim(DefaultMaxArenaBytes)
+		w.events.Trim(DefaultMaxPoolNodes)
+		w.deliv.Trim(DefaultMaxPoolNodes)
 	}
 	l.pool.mu.Lock()
 	l.pool.free = append(l.pool.free, handed...)

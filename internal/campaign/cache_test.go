@@ -1,6 +1,8 @@
 package campaign_test
 
 import (
+	"context"
+	"errors"
 	"reflect"
 	"sync"
 	"testing"
@@ -98,6 +100,59 @@ func TestCampaignCachedRunByteIdentical(t *testing.T) {
 		if got := section(warm, "matrix").Text(); got != ref {
 			t.Fatalf("p=%d warm matrix bytes diverge:\n--- reference\n%s\n--- warm\n%s", p, ref, got)
 		}
+	}
+}
+
+// cancelAfterStores is a memCellCache that cancels its sweep once n
+// cells have been stored.
+type cancelAfterStores struct {
+	*memCellCache
+	n      int
+	cancel context.CancelFunc
+}
+
+func (c cancelAfterStores) Store(key string, r campaign.CellResult) {
+	c.memCellCache.Store(key, r)
+	if _, stores := c.counts(); stores == c.n {
+		c.cancel()
+	}
+}
+
+// TestCampaignCacheStoresBeforeCancellation: every cell computed
+// before a sweep is cancelled is in the cache, so the resumed sweep
+// recomputes only the cells that never ran and still returns the
+// results of an uninterrupted one.
+func TestCampaignCacheStoresBeforeCancellation(t *testing.T) {
+	ref, err := campaign.Run(cacheTestConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const stored = 3
+	if len(ref) <= stored {
+		t.Fatalf("sweep has %d cells, need more than %d", len(ref), stored)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cache := newMemCellCache()
+	cfg := cacheTestConfig(1)
+	cfg.Cache = cancelAfterStores{cache, stored, cancel}
+	if _, err := campaign.RunContext(ctx, cfg); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if _, stores := cache.counts(); stores != stored {
+		t.Fatalf("stored %d cells before the cancellation took effect, want %d", stores, stored)
+	}
+
+	cfg.Cache = cache
+	got, err := campaign.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits, stores := cache.counts(); hits != stored || stores != len(ref) {
+		t.Fatalf("resumed sweep: %d hits, %d stores; want %d hits and %d stores in all", hits, stores, stored, len(ref))
+	}
+	if !reflect.DeepEqual(got, ref) {
+		t.Fatal("resumed sweep diverges from an uninterrupted one")
 	}
 }
 

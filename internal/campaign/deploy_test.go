@@ -197,19 +197,39 @@ func TestDeployTableRendersCI(t *testing.T) {
 	}
 }
 
-// TestCampaignArenaPoolNodeRetention pins the satellite retention
-// bound end to end: after a sweep returns its workers to an ArenaPool,
-// every parked worker's clock-event and delivery-node freelists are
-// trimmed to the pool's node cap.
+// TestCampaignArenaPoolNodeRetention pins the retention bound end to
+// end: after a sweep returns its workers to an ArenaPool, every parked
+// worker's delivery-node freelist holds at most DefaultMaxPoolNodes
+// nodes, and each of its clock-event freelists (nodes and buckets) at
+// most as many. The sweep is one SadDNS cell, whose spoofed flood
+// parks far more nodes than the bound; the test first checks that it
+// does, so it cannot pass on a sweep too light to need trimming.
 func TestCampaignArenaPoolNodeRetention(t *testing.T) {
-	arenas := &ArenaPool{MaxPoolNodes: 64}
-	_, err := Run(Config{
-		Exec:   measure.Config{Seed: 5},
-		Filter: deployFilter("measured"),
-		Trials: 2,
-		Arenas: arenas,
-	})
+	cfg := Config{
+		Exec: measure.Config{Seed: 5},
+		Filter: Filter{
+			Methods: []string{"saddns"}, Victims: []string{"web"},
+			Profiles: []string{"bind"}, Defenses: []string{"none"},
+			ChainDepths: []string{"0"}, Placements: []string{"stub"},
+			Transports: []string{"udp"},
+		},
+		Trials: 1,
+	}
+	cells, err := CellsAtRank(cfg.Filter, cfg.LatticeRank)
 	if err != nil {
+		t.Fatal(err)
+	}
+	untrimmed := newTrialWorker()
+	for _, c := range cells {
+		runCell(untrimmed, c, cfg.Exec.Seed, cfg.Trials, false, false)
+	}
+	if got := untrimmed.deliv.Retained(); got <= DefaultMaxPoolNodes {
+		t.Fatalf("sweep parks only %d delivery nodes, not above the %d bound", got, DefaultMaxPoolNodes)
+	}
+
+	arenas := &ArenaPool{}
+	cfg.Arenas = arenas
+	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)
 	}
 	arenas.mu.Lock()
@@ -218,11 +238,11 @@ func TestCampaignArenaPoolNodeRetention(t *testing.T) {
 		t.Fatal("sweep returned no workers to the pool")
 	}
 	for i, w := range arenas.free {
-		if got := w.events.Retained(); got > 64 {
-			t.Errorf("worker %d parked %d event nodes, cap 64", i, got)
+		if got := w.events.Retained(); got > 2*DefaultMaxPoolNodes {
+			t.Errorf("worker %d parked %d event nodes and buckets, cap %d each", i, got, DefaultMaxPoolNodes)
 		}
-		if got := w.deliv.Retained(); got > 64 {
-			t.Errorf("worker %d parked %d delivery nodes, cap 64", i, got)
+		if got := w.deliv.Retained(); got > DefaultMaxPoolNodes {
+			t.Errorf("worker %d parked %d delivery nodes, cap %d", i, got, DefaultMaxPoolNodes)
 		}
 	}
 }

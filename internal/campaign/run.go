@@ -72,53 +72,37 @@ func RunContext(ctx context.Context, cfg Config) ([]CellResult, error) {
 		Parallelism: cfg.Exec.Parallelism,
 	}
 	cfg.Exec.WireProgress(&job, "campaign", len(cells))
-	var cache engine.ShardCache[CellResult]
-	if cfg.Cache != nil {
-		cache = cellShardCache{cells: cells, seed: cfg.Exec.Seed, trials: trials,
-			downgrade: cfg.Downgrade, cache: cfg.Cache}
-	}
 	newState := newTrialWorker
 	if cfg.Arenas != nil {
 		lease := cfg.Arenas.beginRun()
 		defer lease.endRun()
 		newState = lease.get
 	}
-	return engine.RunWorkersCachedCtx(ctx, job, cache, newState, func(w *trialWorker, sh engine.Shard) CellResult {
+	return engine.RunWorkersCtx(ctx, job, newState, func(w *trialWorker, sh engine.Shard) CellResult {
 		// One shard == one cell (ShardSize 1, so sh.Start indexes the
 		// plan). The shard's positional seed is deliberately unused:
 		// the cell's trials derive from its identity key instead, so
 		// filtering the sweep never reseeds surviving cells.
-		return runCell(w, cells[sh.Start], cfg.Exec.Seed, trials, cfg.Downgrade, cfg.forceFreshBuild)
+		c := cells[sh.Start]
+		var key string
+		if cfg.Cache != nil {
+			// A downgraded sweep shares its trial seeds with the plain
+			// one (paired experiments), not its measured results.
+			key = CellKey(cfg.Exec.Seed, trials, c)
+			if cfg.Downgrade {
+				key += "/downgrade"
+			}
+			if r, ok := cfg.Cache.Lookup(key); ok {
+				return r
+			}
+		}
+		w.reset()
+		r := runCell(w, c, cfg.Exec.Seed, trials, cfg.Downgrade, cfg.forceFreshBuild)
+		if cfg.Cache != nil {
+			cfg.Cache.Store(key, r)
+		}
+		return r
 	})
-}
-
-// cellShardCache adapts a CellCache to the engine's shard-dispatch
-// hook: shard i is cell i (ShardSize 1), addressed by its CellKey.
-type cellShardCache struct {
-	cells     []Cell
-	seed      int64
-	trials    int
-	downgrade bool
-	cache     CellCache
-}
-
-// key is the cell's CellKey, plus a "/downgrade" marker when the sweep
-// runs under active downgrade pressure: trial seeds are shared between
-// the two conditions (paired experiments), measured results are not.
-func (a cellShardCache) key(sh engine.Shard) string {
-	k := CellKey(a.seed, a.trials, a.cells[sh.Start])
-	if a.downgrade {
-		k += "/downgrade"
-	}
-	return k
-}
-
-func (a cellShardCache) Lookup(sh engine.Shard) (CellResult, bool) {
-	return a.cache.Lookup(a.key(sh))
-}
-
-func (a cellShardCache) Store(sh engine.Shard, r CellResult) {
-	a.cache.Store(a.key(sh), r)
 }
 
 // trialWorker is the scratch one campaign worker reuses across every
@@ -140,11 +124,11 @@ type trialWorker struct {
 
 func newTrialWorker() *trialWorker { return &trialWorker{} }
 
-// Reset rewinds the sample slices for the next cell, keeping their
+// reset rewinds the sample slices for the next cell, keeping their
 // capacity. The wire arena, freelists and memoized prototypes
-// deliberately survive Reset: they carry no state between trials, only
+// deliberately survive reset: they carry no state between trials, only
 // capacity and immutable (or baseline-restored) build artifacts.
-func (w *trialWorker) Reset(engine.Shard) {
+func (w *trialWorker) reset() {
 	w.iters = w.iters[:0]
 	w.pkts = w.pkts[:0]
 	w.secs = w.secs[:0]

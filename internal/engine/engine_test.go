@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"reflect"
-	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -82,7 +81,10 @@ func TestRunResultsIndependentOfWorkerCount(t *testing.T) {
 	var reference [][]int64
 	for _, p := range []int{1, 2, 8} {
 		j := Job{Items: 333, ShardSize: 16, Seed: 99, Parallelism: p}
-		got := Run(j, fn)
+		got, err := RunCtx(context.Background(), j, fn)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if reference == nil {
 			reference = got
 			continue
@@ -107,27 +109,44 @@ func TestExecuteReportsProgress(t *testing.T) {
 			}
 			last = done
 		}}
-	Run(j, func(sh Shard) int { return sh.Index })
+	if _, err := RunCtx(context.Background(), j, func(sh Shard) int { return sh.Index }); err != nil {
+		t.Fatal(err)
+	}
 	if calls != 5 || last != 5 {
 		t.Fatalf("progress calls=%d last=%d, want 5/5", calls, last)
 	}
 }
 
+// TestParallelRunsAllThunks: heterogeneous thunks (the Table 6
+// comparison's shape) run through RunCtx over a ShardSize 1 job, each
+// exactly once, with shard i running thunk i.
 func TestParallelRunsAllThunks(t *testing.T) {
 	var n atomic.Int64
-	fns := make([]func(), 17)
+	fns := make([]func() int, 17)
 	for i := range fns {
-		fns[i] = func() { n.Add(1) }
+		fns[i] = func() int { n.Add(1); return i * i }
 	}
-	Parallel(4, fns...)
+	got, err := RunCtx(context.Background(), Job{Items: len(fns), ShardSize: 1, Parallelism: 4},
+		func(sh Shard) int { return fns[sh.Start]() })
+	if err != nil {
+		t.Fatal(err)
+	}
 	if n.Load() != 17 {
 		t.Fatalf("ran %d thunks, want 17", n.Load())
+	}
+	for i, v := range got {
+		if v != i*i {
+			t.Fatalf("result[%d] = %d, want %d", i, v, i*i)
+		}
 	}
 }
 
 func TestEmptyJob(t *testing.T) {
-	if got := Run(Job{Items: 0, Seed: 1}, func(Shard) int { return 1 }); len(got) != 0 {
-		t.Fatalf("empty job produced %d results", len(got))
+	for _, p := range []int{1, 4} {
+		got, err := RunCtx(context.Background(), Job{Items: 0, Seed: 1, Parallelism: p}, func(Shard) int { return 1 })
+		if err != nil || len(got) != 0 {
+			t.Fatalf("parallelism %d: empty job produced %d results, err %v", p, len(got), err)
+		}
 	}
 }
 
@@ -167,8 +186,9 @@ func TestRunCtxCancellationStopsDispatch(t *testing.T) {
 	}
 }
 
-// TestRunCtxBackgroundMatchesRun: with a background context RunCtx is
-// Run — same results, nil error.
+// TestRunCtxBackgroundMatchesRun: with a background context RunCtx
+// returns, with a nil error, exactly what running fn over the shard
+// plan in order returns.
 func TestRunCtxBackgroundMatchesRun(t *testing.T) {
 	fn := func(sh Shard) int64 { return sh.Seed + int64(sh.Start) }
 	j := Job{Items: 40, ShardSize: 8, Seed: 12, Parallelism: 4}
@@ -176,8 +196,12 @@ func TestRunCtxBackgroundMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := Run(j, fn); !reflect.DeepEqual(got, want) {
-		t.Fatal("RunCtx(Background) differs from Run")
+	var want []int64
+	for _, sh := range j.Shards() {
+		want = append(want, fn(sh))
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("RunCtx(Background) = %v, want %v", got, want)
 	}
 }
 
@@ -206,8 +230,35 @@ func TestDeriveSeedKeyStableAndDistinct(t *testing.T) {
 
 // TestRunWorkersResultsIndependentOfWorkersAndBurst pins the
 // determinism contract across the burst dispatcher: neither the worker
-// count nor the burst size may change results or their order.
+// count nor the burst size may change results or their order, and
+// every index runs exactly once on a worker in range.
 func TestRunWorkersResultsIndependentOfWorkersAndBurst(t *testing.T) {
+	const total = 333
+	for _, workers := range []int{1, 2, 3, 8} {
+		for _, burst := range []int{1, 3, 64, 1000} {
+			got := make([]int64, total)
+			runs := make([]atomic.Int64, total)
+			err := executeBursts(context.Background(), workers, burst, total, func(w, i int) {
+				if w < 0 || w >= workers {
+					t.Errorf("index %d ran on worker %d of %d", i, w, workers)
+				}
+				runs[i].Add(1)
+				got[i] = DeriveSeed(99, i)
+			}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range got {
+				if n := runs[i].Load(); n != 1 {
+					t.Fatalf("workers %d burst %d: index %d ran %d times", workers, burst, i, n)
+				}
+				if got[i] != DeriveSeed(99, i) {
+					t.Fatalf("workers %d burst %d: result[%d] wrong", workers, burst, i)
+				}
+			}
+		}
+	}
+
 	type state struct{ scratch []int64 }
 	fn := func(s *state, sh Shard) int64 {
 		s.scratch = append(s.scratch, sh.Seed)
@@ -215,68 +266,67 @@ func TestRunWorkersResultsIndependentOfWorkersAndBurst(t *testing.T) {
 	}
 	var reference []int64
 	for _, p := range []int{1, 2, 8} {
-		for _, burst := range []int{1, 3, 64, 1000} {
-			j := Job{Items: 333, ShardSize: 4, Seed: 99, Parallelism: p, Burst: burst}
-			got := RunWorkers(j, func() *state { return &state{} }, fn)
-			if reference == nil {
-				reference = got
-				continue
-			}
-			if !reflect.DeepEqual(got, reference) {
-				t.Fatalf("parallelism %d burst %d changed results", p, burst)
-			}
+		j := Job{Items: 333, ShardSize: 4, Seed: 99, Parallelism: p}
+		got, err := RunWorkersCtx(context.Background(), j, func() *state { return &state{} }, fn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reference == nil {
+			reference = got
+			continue
+		}
+		if !reflect.DeepEqual(got, reference) {
+			t.Fatalf("parallelism %d changed results", p)
 		}
 	}
 }
 
 // TestRunWorkersStatePerWorker: newState runs once per participating
-// worker, every shard sees a state, and Reset is called with the
-// shard about to run — before fn, every time.
+// worker, and every shard runs exactly once, on one worker's state.
 func TestRunWorkersStatePerWorker(t *testing.T) {
+	type state struct{ ran []int }
 	var made atomic.Int64
-	j := Job{Items: 64, ShardSize: 1, Seed: 5, Parallelism: 4, Burst: 4}
-	states := RunWorkers(j,
-		func() *resettableState { made.Add(1); return &resettableState{} },
-		func(s *resettableState, sh Shard) *resettableState {
-			if len(s.resets) == 0 || s.resets[len(s.resets)-1] != sh.Index {
-				t.Errorf("shard %d ran without a preceding Reset", sh.Index)
-			}
+	j := Job{Items: 200, ShardSize: 1, Seed: 5, Parallelism: 4}
+	states, err := RunWorkersCtx(context.Background(), j,
+		func() *state { made.Add(1); return &state{} },
+		func(s *state, sh Shard) *state {
+			s.ran = append(s.ran, sh.Index)
 			return s
 		})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if n := made.Load(); n < 1 || n > 4 {
 		t.Fatalf("newState ran %d times, want 1..4", n)
 	}
-	// Every shard's Reset happened on exactly one state, once.
 	seen := map[int]int{}
-	uniq := map[*resettableState]bool{}
+	uniq := map[*state]bool{}
 	for _, s := range states {
 		if uniq[s] {
 			continue
 		}
 		uniq[s] = true
-		for _, idx := range s.resets {
+		for _, idx := range s.ran {
 			seen[idx]++
 		}
 	}
-	for i := 0; i < 64; i++ {
+	if int64(len(uniq)) != made.Load() {
+		t.Fatalf("%d states ran shards, %d were made", len(uniq), made.Load())
+	}
+	for i := 0; i < j.Items; i++ {
 		if seen[i] != 1 {
-			t.Fatalf("shard %d reset %d times, want 1", i, seen[i])
+			t.Fatalf("shard %d ran %d times, want 1", i, seen[i])
 		}
 	}
 }
 
-type resettableState struct{ resets []int }
-
-func (s *resettableState) Reset(sh Shard) { s.resets = append(s.resets, sh.Index) }
-
 // TestRunWorkersCtxCancellation: the burst dispatcher must honour the
-// no-new-trials-after-cancel rule on both the serial and parallel
-// paths, like ExecuteCtx.
+// no-new-trials-after-cancel rule on the parallel path too.
 func TestRunWorkersCtxCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var ran atomic.Int64
-	_, err := RunWorkersCtx(ctx, Job{Items: 64, ShardSize: 1, Seed: 4, Parallelism: 8, Burst: 4},
+	_, err := RunWorkersCtx(ctx, Job{Items: 64, ShardSize: 1, Seed: 4, Parallelism: 8},
 		func() int { return 0 },
 		func(int, Shard) int { ran.Add(1); return 0 })
 	if !errors.Is(err, context.Canceled) {
@@ -284,126 +334,5 @@ func TestRunWorkersCtxCancellation(t *testing.T) {
 	}
 	if ran.Load() != 0 {
 		t.Fatalf("%d trials ran under a pre-cancelled context, want 0", ran.Load())
-	}
-}
-
-// mapCache is a minimal ShardCache for tests: a mutex map keyed by
-// shard index, counting hits and stores.
-type mapCache[T any] struct {
-	mu     sync.Mutex
-	m      map[int]T
-	hits   int
-	stores int
-}
-
-func newMapCache[T any]() *mapCache[T] { return &mapCache[T]{m: make(map[int]T)} }
-
-func (c *mapCache[T]) Lookup(sh Shard) (T, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	r, ok := c.m[sh.Index]
-	if ok {
-		c.hits++
-	}
-	return r, ok
-}
-
-func (c *mapCache[T]) Store(sh Shard, r T) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.m[sh.Index] = r
-	c.stores++
-}
-
-func TestRunWorkersCachedSkipsComputation(t *testing.T) {
-	j := Job{Items: 40, ShardSize: 1, Seed: 7, Parallelism: 4, Burst: 4}
-	cache := newMapCache[int]()
-	var calls atomic.Int64
-	run := func() []int {
-		out, err := RunWorkersCachedCtx(context.Background(), j, cache,
-			func() *struct{} { return nil },
-			func(_ *struct{}, sh Shard) int { calls.Add(1); return sh.Start * 3 })
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	cold := run()
-	if got := calls.Load(); got != 40 {
-		t.Fatalf("cold run computed %d shards, want 40", got)
-	}
-	if cache.stores != 40 {
-		t.Fatalf("cold run stored %d results, want 40", cache.stores)
-	}
-	warm := run()
-	if got := calls.Load(); got != 40 {
-		t.Fatalf("warm run recomputed %d shards, want 0", got-40)
-	}
-	if cache.hits != 40 {
-		t.Fatalf("warm run hit cache %d times, want 40", cache.hits)
-	}
-	if !reflect.DeepEqual(cold, warm) {
-		t.Fatalf("cached results differ: %v vs %v", cold, warm)
-	}
-	for i, v := range cold {
-		if v != i*3 {
-			t.Fatalf("result[%d] = %d, want %d", i, v, i*3)
-		}
-	}
-}
-
-func TestRunWorkersCachedNilCacheMatchesUncached(t *testing.T) {
-	j := Job{Items: 17, ShardSize: 2, Seed: 3, Parallelism: 3}
-	fn := func(_ *struct{}, sh Shard) int64 { return sh.Seed ^ int64(sh.Start) }
-	newState := func() *struct{} { return nil }
-	plain, err := RunWorkersCtx(context.Background(), j, newState, fn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cached, err := RunWorkersCachedCtx[*struct{}, int64](context.Background(), j, nil, newState, fn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(plain, cached) {
-		t.Fatalf("nil-cache results diverge: %v vs %v", plain, cached)
-	}
-}
-
-// TestRunWorkersCachedStoresBeforeCancellation: results computed before
-// a cancellation are in the cache, so a resumed run only recomputes the
-// shards that never ran.
-func TestRunWorkersCachedStoresBeforeCancellation(t *testing.T) {
-	cache := newMapCache[int]()
-	ctx, cancel := context.WithCancel(context.Background())
-	j := Job{Items: 20, ShardSize: 1, Seed: 1, Parallelism: 1}
-	var calls int
-	_, err := RunWorkersCachedCtx(ctx, j, cache,
-		func() *struct{} { return nil },
-		func(_ *struct{}, sh Shard) int {
-			calls++
-			if calls == 5 {
-				cancel()
-			}
-			return sh.Start
-		})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want canceled", err)
-	}
-	if cache.stores != 5 {
-		t.Fatalf("stored %d results before cancel, want 5", cache.stores)
-	}
-	out, err := RunWorkersCachedCtx(context.Background(), j, cache,
-		func() *struct{} { return nil },
-		func(_ *struct{}, sh Shard) int { calls++; return sh.Start })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 20 {
-		t.Fatalf("resume recomputed %d shards, want 15 new (20 total calls, got %d)", calls-5, calls)
-	}
-	for i, v := range out {
-		if v != i {
-			t.Fatalf("resumed result[%d] = %d", i, v)
-		}
 	}
 }

@@ -144,7 +144,12 @@ func RunComparisonWith(ctx context.Context, cfg Config, sadPorts int) (Compariso
 		cmp.SamePrefixRate = core.SamePrefixInterceptionRate(topo, netip.MustParsePrefix("10.0.0.0/22"), pairs)
 	}
 
-	if err := engine.ParallelCtx(ctx, cfg.Parallelism, hijack, saddns, fragGlobal, fragRandom, samePrefix); err != nil {
+	thunks := []func(){hijack, saddns, fragGlobal, fragRandom, samePrefix}
+	job := engine.Job{Name: "table6", Items: len(thunks), ShardSize: 1, Parallelism: cfg.Parallelism}
+	if _, err := engine.RunCtx(ctx, job, func(sh engine.Shard) struct{} {
+		thunks[sh.Start]()
+		return struct{}{}
+	}); err != nil {
 		return Comparison{}, err
 	}
 	return cmp, nil

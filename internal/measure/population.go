@@ -78,13 +78,27 @@ func Table4Datasets() []DomainDatasetSpec {
 	}
 }
 
-// samplePrefixLen draws an announced prefix length such that
-// P(len < 24) == subRate, with the sub-/24 mass spread over /11../23
-// roughly like Figure 3 (most announcements cluster at /16../22).
-func samplePrefixLen(rng *rand.Rand, subRate float64) int {
-	if rng.Float64() >= subRate {
-		return 24
+// drawAnnouncedPrefix draws whether the population item at addr is
+// sub-prefix hijackable (with probability subRate) and its covering
+// BGP announcement: a shorter prefix from samplePrefixLen if so, its
+// own /24 otherwise.
+func drawAnnouncedPrefix(rng *rand.Rand, addr netip.Addr, subRate float64) (netip.Prefix, bool) {
+	sub := rng.Float64() < subRate
+	plen := 24
+	if sub {
+		plen = samplePrefixLen(rng)
 	}
+	prefix, _ := addr.Prefix(plen)
+	return prefix, sub
+}
+
+// samplePrefixLen draws a sub-/24 announced prefix length, spread over
+// /11../23 roughly like Figure 3 (most announcements cluster at
+// /16../22).
+func samplePrefixLen(rng *rand.Rand) int {
+	// Discarded draw: every calibrated population consumes it, so
+	// dropping it would reshuffle them all.
+	rng.Float64()
 	// Weighted lengths 11..23, heavier in the middle.
 	weights := []struct {
 		bits int
@@ -156,12 +170,9 @@ type SimResolver struct {
 // fleets for different shards simulate concurrently without sharing
 // any state.
 type ResolverFleet struct {
+	fleetNet
 	Spec      ResolverDatasetSpec
 	Shard     engine.Shard
-	Clock     *sim.Clock
-	Net       *netsim.Network
-	Prober    *netsim.Host
-	Prober2   *netsim.Host
 	TestNS    *netsim.Host
 	TestSrv   *dnssrv.Server
 	Resolvers []*SimResolver
@@ -174,6 +185,52 @@ const (
 	fleetNSAS      bgp.ASN = 3
 	fleetResolvAS  bgp.ASN = 4
 )
+
+// fleetNet is the probing infrastructure every fleet shard owns
+// outright: its clock and network, and the two measurement probers.
+type fleetNet struct {
+	Clock   *sim.Clock
+	Net     *netsim.Network
+	Prober  *netsim.Host
+	Prober2 *netsim.Host
+}
+
+// fleetRoute is one stub AS of a fleet and the prefix it announces.
+type fleetRoute struct {
+	as     bgp.ASN
+	prefix string
+}
+
+// newFleetNet builds a fleet shard's network from its seed: the clock,
+// the population-draw RNG, a transit AS with the prober stub and one
+// stub per route as customers, every stub's announcement, and the two
+// probers, whose AS does not egress-filter (measurement probes spoof
+// like the paper's). The RNG is derived before any host exists, as
+// each population's byte identity requires.
+func newFleetNet(seed int64, routes ...fleetRoute) (fleetNet, *rand.Rand) {
+	clock := sim.NewClock(seed)
+	rng := clock.NewRand()
+	routes = append([]fleetRoute{{fleetProbeAS, "192.0.2.0/24"}}, routes...)
+	topo := bgp.NewTopology()
+	topo.AddAS(fleetTransitAS, 1)
+	for _, r := range routes {
+		topo.AddAS(r.as, 3)
+		topo.AddProviderCustomer(fleetTransitAS, r.as)
+	}
+	rib := bgp.NewRIB(topo, nil)
+	net := netsim.New(clock, topo, rib)
+	for _, r := range routes {
+		rib.Announce(netip.MustParsePrefix(r.prefix), r.as)
+	}
+	f := fleetNet{
+		Clock:   clock,
+		Net:     net,
+		Prober:  net.AddHost("prober", fleetProbeAS, netip.MustParseAddr("192.0.2.10")),
+		Prober2: net.AddHost("prober2", fleetProbeAS, netip.MustParseAddr("192.0.2.11")),
+	}
+	net.AS(fleetProbeAS).EgressFiltering = false
+	return f, rng
+}
 
 // fleetAddr returns the i-th resolver address (10.x.y.1).
 func fleetAddr(i int) netip.Addr {
@@ -196,30 +253,14 @@ func NewResolverFleet(spec ResolverDatasetSpec, n int, seed int64) *ResolverFlee
 // panics on the first duplicate address (Config.job clamps shard
 // sizes accordingly).
 func NewResolverFleetShard(spec ResolverDatasetSpec, sh engine.Shard) *ResolverFleet {
-	clock := sim.NewClock(sh.Seed)
-	rng := clock.NewRand()
-	topo := bgp.NewTopology()
-	topo.AddAS(fleetTransitAS, 1)
-	for _, asn := range []bgp.ASN{fleetProbeAS, fleetNSAS, fleetResolvAS} {
-		topo.AddAS(asn, 3)
-		topo.AddProviderCustomer(fleetTransitAS, asn)
-	}
-	rib := bgp.NewRIB(topo, nil)
-	net := netsim.New(clock, topo, rib)
-	rib.Announce(netip.MustParsePrefix("192.0.2.0/24"), fleetProbeAS)
-	rib.Announce(netip.MustParsePrefix("198.51.100.0/24"), fleetNSAS)
-	rib.Announce(netip.MustParsePrefix("10.0.0.0/8"), fleetResolvAS)
-
+	base, rng := newFleetNet(sh.Seed,
+		fleetRoute{fleetNSAS, "198.51.100.0/24"}, fleetRoute{fleetResolvAS, "10.0.0.0/8"})
 	f := &ResolverFleet{
-		Spec:    spec,
-		Shard:   sh,
-		Clock:   clock,
-		Net:     net,
-		Prober:  net.AddHost("prober", fleetProbeAS, netip.MustParseAddr("192.0.2.10")),
-		Prober2: net.AddHost("prober2", fleetProbeAS, netip.MustParseAddr("192.0.2.11")),
-		TestNS:  net.AddHost("testns", fleetNSAS, netip.MustParseAddr("198.51.100.53")),
+		fleetNet: base,
+		Spec:     spec,
+		Shard:    sh,
+		TestNS:   base.Net.AddHost("testns", fleetNSAS, netip.MustParseAddr("198.51.100.53")),
 	}
-	net.AS(fleetProbeAS).EgressFiltering = false // measurement probes spoof like the paper's
 
 	zone := dnssrv.NewZone("test.example.")
 	zone.Add(dnswire.NewSOA("test.example.", 3600, "ns.test.example.", "r.test.example.", 1))
@@ -232,17 +273,9 @@ func NewResolverFleetShard(spec ResolverDatasetSpec, sh engine.Shard) *ResolverF
 	for k := 0; k < sh.Count; k++ {
 		i := sh.Start + k
 		addr := fleetAddr(i)
-		h := net.AddHost(fmt.Sprintf("resolver-%d", i), fleetResolvAS, addr)
+		h := f.Net.AddHost(fmt.Sprintf("resolver-%d", i), fleetResolvAS, addr)
 
-		truthSub := rng.Float64() < spec.SubPrefixRate
-		plen := 24
-		if truthSub {
-			plen = samplePrefixLen(rng, 1.0)
-			if plen == 24 {
-				plen = 22
-			}
-		}
-		prefix, _ := addr.Prefix(plen)
+		prefix, truthSub := drawAnnouncedPrefix(rng, addr, spec.SubPrefixRate)
 
 		truthSad := rng.Float64() < spec.SadDNSRate
 		if truthSad {

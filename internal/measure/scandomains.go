@@ -6,7 +6,6 @@ import (
 	"net/netip"
 	"time"
 
-	"crosslayer/internal/bgp"
 	"crosslayer/internal/dnssrv"
 	"crosslayer/internal/dnswire"
 	"crosslayer/internal/engine"
@@ -14,7 +13,6 @@ import (
 	"crosslayer/internal/packet"
 	"crosslayer/internal/report"
 	"crosslayer/internal/resolver"
-	"crosslayer/internal/sim"
 	"crosslayer/internal/stats"
 )
 
@@ -41,12 +39,9 @@ type SimDomain struct {
 // ResolverFleet, each fleet owns its clock and network outright so
 // shards simulate concurrently without shared state.
 type DomainFleet struct {
+	fleetNet
 	Spec    DomainDatasetSpec
 	Shard   engine.Shard
-	Clock   *sim.Clock
-	Net     *netsim.Network
-	Prober  *netsim.Host
-	Prober2 *netsim.Host
 	Domains []*SimDomain
 	// BurstSize is the RRL probe volume (paper: 4000 queries/s; tests
 	// scale it down).
@@ -67,42 +62,16 @@ func NewDomainFleet(spec DomainDatasetSpec, n int, seed int64) *DomainFleet {
 // population (global indices [sh.Start, sh.Start+sh.Count)) on a clock
 // and network owned by the shard alone.
 func NewDomainFleetShard(spec DomainDatasetSpec, sh engine.Shard) *DomainFleet {
-	clock := sim.NewClock(sh.Seed)
-	rng := clock.NewRand()
-	topo := bgp.NewTopology()
-	topo.AddAS(fleetTransitAS, 1)
-	for _, asn := range []bgp.ASN{fleetProbeAS, fleetNSAS} {
-		topo.AddAS(asn, 3)
-		topo.AddProviderCustomer(fleetTransitAS, asn)
-	}
-	rib := bgp.NewRIB(topo, nil)
-	net := netsim.New(clock, topo, rib)
-	rib.Announce(netip.MustParsePrefix("192.0.2.0/24"), fleetProbeAS)
-	rib.Announce(netip.MustParsePrefix("10.0.0.0/8"), fleetNSAS)
-
-	f := &DomainFleet{
-		Spec: spec, Shard: sh, Clock: clock, Net: net,
-		Prober:    net.AddHost("prober", fleetProbeAS, netip.MustParseAddr("192.0.2.10")),
-		Prober2:   net.AddHost("prober2", fleetProbeAS, netip.MustParseAddr("192.0.2.11")),
-		BurstSize: 400,
-	}
-	net.AS(fleetProbeAS).EgressFiltering = false
+	base, rng := newFleetNet(sh.Seed, fleetRoute{fleetNSAS, "10.0.0.0/8"})
+	f := &DomainFleet{fleetNet: base, Spec: spec, Shard: sh, BurstSize: 400}
 
 	for k := 0; k < sh.Count; k++ {
 		i := sh.Start + k
 		addr := fleetNSAddr(i)
-		h := net.AddHost(fmt.Sprintf("ns-%d", i), fleetNSAS, addr)
+		h := f.Net.AddHost(fmt.Sprintf("ns-%d", i), fleetNSAS, addr)
 		name := fmt.Sprintf("dom-%d.example.", i)
 
-		truthSub := rng.Float64() < spec.SubPrefixRate
-		plen := 24
-		if truthSub {
-			plen = samplePrefixLen(rng, 1.0)
-			if plen == 24 {
-				plen = 22
-			}
-		}
-		prefix, _ := addr.Prefix(plen)
+		prefix, truthSub := drawAnnouncedPrefix(rng, addr, spec.SubPrefixRate)
 
 		cfg := dnssrv.DefaultConfig()
 		truthRRL := rng.Float64() < spec.SadDNSRate

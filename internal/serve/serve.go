@@ -48,9 +48,6 @@ type Config struct {
 	// CheckpointEvery is the periodic checkpoint interval; 0 means
 	// DefaultCheckpointEvery.
 	CheckpointEvery time.Duration
-	// MaxArenaBytes bounds the wire-buffer capacity each pooled worker
-	// arena retains between jobs; 0 means campaign.DefaultMaxArenaBytes.
-	MaxArenaBytes int
 	// Log, when non-nil, receives one line per lifecycle event (listen
 	// address, checkpoint loads/saves, job starts).
 	Log io.Writer
@@ -90,7 +87,7 @@ func New(cfg Config) *Server {
 	return &Server{
 		cfg:    cfg,
 		cache:  newCellCache(),
-		arenas: &campaign.ArenaPool{MaxArenaBytes: cfg.MaxArenaBytes},
+		arenas: &campaign.ArenaPool{},
 		jobs:   make(chan *job),
 		ready:  make(chan struct{}),
 	}

@@ -243,9 +243,10 @@ func TestServeCheckpointResume(t *testing.T) {
 	}
 }
 
-// TestServeShutdownFlushesMidQueueCheckpoint: cells stored before a
-// cancellation survive to the checkpoint even though the sweep itself
-// failed — the resume path recomputes only what never ran.
+// TestServeCheckpointSkipsCleanRewrite: a server restarted from a
+// checkpoint serves a repeated sweep from it without recomputing, and
+// an all-hits sweep leaves the cache clean, so the checkpoint is not
+// rewritten.
 func TestServeCheckpointSkipsCleanRewrite(t *testing.T) {
 	cp := filepath.Join(t.TempDir(), "checkpoint.json")
 
